@@ -14,11 +14,9 @@ interesting physics case), 2 = input or validation error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -35,14 +33,11 @@ from .qcore import (
     matrix_from_json,
 )
 from .protocols import (
-    InrmPartial,
     OutcomeTable,
     ProtocolConfig,
     Schedule,
-    assemble_inrm,
+    _assembled_inrm_table,
     experiment_distribution,
-    inrm_distribution,
-    run_nsit_pair,
     sample_counts,
     table_to_json,
 )
@@ -352,46 +347,6 @@ class _ExperimentRunner:
     def _next_seed(self) -> int:
         return int(self._seed_root.spawn(1)[0].generate_state(1)[0])
 
-    def _maybe_sample(self, table: OutcomeTable) -> OutcomeTable:
-        if self.s.shots > 0 and table.kind == "exact":
-            return sample_counts(table, self.s.shots, self._next_seed())
-        return table
-
-    def _inrm_table(self, measured: tuple[int, ...], mechanism: tuple[int, ...],
-                    clumsiness: ClumsinessModel) -> OutcomeTable:
-        """Assemble the full table for ``measured`` from all INRM configurations.
-
-        ``mechanism`` lists master-schedule times; detectors exist only at the
-        measured times, so a mechanism at a non-measured time is unsupported
-        in the INRM modes.
-        """
-        s = self.s
-        if not isinstance(s.observable, DichotomicObservable):
-            raise ScenarioError("protocol: INRM modes require a dichotomic observable")
-        unsupported = [i for i in mechanism if i not in measured]
-        if unsupported:
-            raise ScenarioError(
-                f"protocol: dephase_times {unsupported} fall outside the measured times {measured} of an INRM experiment"
-            )
-        sub = Schedule(tuple(s.schedule[i - 1] for i in measured))
-        sub_mech = tuple(sorted(measured.index(i) + 1 for i in mechanism))
-        config = ProtocolConfig(
-            mode=s.config.mode,
-            dephase_times=sub_mech,
-            clumsiness=clumsiness,
-            shots=s.shots,
-        )
-        partials: list[InrmPartial] = []
-        for couplings in itertools.product((1, -1), repeat=len(measured) - 1):
-            seed = self._next_seed() if s.shots > 0 else None
-            partials.append(
-                inrm_distribution(
-                    s.initial_state, s.hamiltonian, s.observable, sub, couplings, config, seed
-                )
-            )
-        table = assemble_inrm(partials)
-        return replace(table, slot_times=measured)
-
     def experiment(
         self,
         measured: tuple[int, ...],
@@ -418,26 +373,26 @@ class _ExperimentRunner:
         if key in self.tables:
             return self.tables[key]
 
-        inrm_mode = s.config.mode in ("inrm", "inrm_dephased")
-        if inrm_mode and len(measured) >= 2 and set(mechanism) <= set(measured):
-            table = self._inrm_table(measured, mechanism, clumsiness)
+        mode = s.config.mode
+        inrm = mode in ("inrm", "inrm_dephased")
+        if inrm and (len(measured) < 2 or not set(mechanism) <= set(measured)):
+            # A single read-out has no detectors, and a mechanism at a
+            # non-detector time is not expressible with them; run the
+            # entrywise-equal projective counterpart on the master schedule.
+            inrm = False
+            mode = "projective" if mode == "inrm" else "projective_dephased"
+        config = ProtocolConfig(mode=mode, dephase_times=mechanism, clumsiness=clumsiness, shots=s.shots)
+        args = (s.initial_state, s.hamiltonian, s.observable, s.schedule, measured, config)
+        if inrm:
+            # Detectors sit at the measured times; every configuration draws
+            # its own child seed.
+            if not isinstance(s.observable, DichotomicObservable):
+                raise ScenarioError("protocol: INRM modes require a dichotomic observable")
+            table = _assembled_inrm_table(*args, self._next_seed)
         else:
-            # A mechanism at a non-detector time is not expressible with the
-            # negative-result detectors; run the entrywise-equal projective
-            # counterpart on the master schedule instead.
-            mode = s.config.mode
-            if inrm_mode:
-                mode = "projective" if mode == "inrm" else "projective_dephased"
-            config = ProtocolConfig(
-                mode=mode,
-                dephase_times=mechanism,
-                clumsiness=clumsiness,
-                shots=s.shots,
-            )
-            table = experiment_distribution(
-                s.initial_state, s.hamiltonian, s.observable, s.schedule, measured, config
-            )
-            table = self._maybe_sample(table)
+            table = experiment_distribution(*args)
+            if s.shots > 0:
+                table = sample_counts(table, s.shots, self._next_seed())
         self.tables[key] = table
         return table
 
@@ -597,16 +552,12 @@ def _sweep_row(template: Mapping[str, Any], parameter: str, value) -> dict:
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Evaluate the scenario at every swept value; rows stay in sweep order.
+    """Evaluate the scenario at every swept value, one row after another, in sweep order.
 
     A failing row carries its error message in the ``error`` field and the
-    sweep continues.  Rows are computed concurrently (the evaluations are
-    pure) and merged in deterministic order.
+    sweep continues.
     """
-    workers = min(8, max(1, len(spec.values)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda v: _sweep_row(spec.template, spec.parameter, v), spec.values))
-    return rows
+    return [_sweep_row(spec.template, spec.parameter, value) for value in spec.values]
 
 
 def sweep_to_csv(rows: Sequence[dict]) -> str:

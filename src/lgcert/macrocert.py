@@ -497,8 +497,7 @@ def _heisenberg_projectors(
     q: Observable, h: Hamiltonian, t: float
 ) -> dict[int, np.ndarray]:
     u = unitary_for(h, t)
-    udag = u.conj().T
-    return {s: udag @ q.projector(s) @ u for s in q.outcomes}
+    return dict(zip(q.outcomes, u.conj().T @ q.projector_stack @ u))
 
 
 def quasi_probability(

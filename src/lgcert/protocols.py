@@ -9,14 +9,17 @@ injection at the first measurement, and finite-shot multinomial sampling.
 
 Probabilities are computed by unnormalized branch propagation: branch weights
 are carried through the whole run and never divided by, so zero-probability
-branches simply report zero for all continuations.
+branches simply report zero for all continuations.  One kernel, ``_propagate``,
+serves every protocol: it carries all branches as one (B, d, d) stack, builds
+each time step's unitary once per run from the Hamiltonian's cached spectrum,
+and runs every INRM detector configuration in the same pass.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,7 +36,6 @@ from .qcore import (
     apply_clumsiness_matrix,
     dephase_matrix,
     evolve_matrix,
-    heisenberg_projector,
     unitary_for,
 )
 
@@ -283,12 +285,6 @@ def _as_observable_list(q, n: int) -> list[Observable]:
     return obs
 
 
-def _diagonalize(mat: np.ndarray, obs: Observable, via_ancilla: bool) -> np.ndarray:
-    if via_ancilla:
-        return blind_measurement_via_ancilla(mat, obs)
-    return dephase_matrix(mat, obs)
-
-
 def _propagate(
     rho: DensityOperator,
     h: Hamiltonian,
@@ -298,8 +294,16 @@ def _propagate(
     dephase_at: frozenset[int],
     clumsiness: ClumsinessModel,
     via_ancilla: bool,
+    trace_last: bool = False,
 ) -> dict[tuple[int, ...], float]:
-    """Branch-propagate and return unclamped probabilities per outcome tuple."""
+    """Branch-propagate and return unclamped probabilities per outcome tuple.
+
+    All branches travel as one (B, d, d) stack: one batched conjugation per
+    time step, one batched projection per read-out (every branch onto every
+    outcome, in product order), one trace at the end.  Each read-out is
+    P_s m P_s, except that with ``trace_last`` the last one is read as
+    Tr(P_s m), the final measurement of an INRM run.
+    """
     for obs in observables:
         if obs.dim != rho.dim:
             raise DimensionMismatchError(
@@ -314,29 +318,33 @@ def _propagate(
         raise ValidationError("at least one measured time is required")
     clumsy_at = measured[0] if not clumsiness.is_trivial else None
     last_relevant = max([*measured, *dephase_at]) if dephase_at else measured[-1]
+    d = rho.dim
+    unitaries: dict[float, tuple[np.ndarray, np.ndarray]] = {}  # per time step, this run only
 
-    branches: list[tuple[tuple[int, ...], np.ndarray]] = [((), rho.matrix)]
+    outcomes: list[tuple[int, ...]] = [()]
+    stack = rho.matrix[None]
     t_prev = 0.0
-    for k, t_k in enumerate(times, start=1):
-        if k > last_relevant:
-            break
-        u = unitary_for(h, t_k - t_prev)
-        udag = u.conj().T
-        branches = [(o, u @ m @ udag) for o, m in branches]
+    for k, t_k in enumerate(times[:last_relevant], start=1):
+        dt = t_k - t_prev
+        if dt not in unitaries:
+            u = unitary_for(h, dt)
+            unitaries[dt] = (u, u.conj().T)
+        u, udag = unitaries[dt]
+        stack = u @ stack @ udag
         obs = observables[k - 1]
         if k in dephase_at:
-            branches = [(o, _diagonalize(m, obs, via_ancilla)) for o, m in branches]
+            stack = _blind_stack(stack, obs) if via_ancilla else dephase_matrix(stack, obs)
         if k == clumsy_at:
-            branches = [(o, apply_clumsiness_matrix(m, clumsiness)) for o, m in branches]
+            stack = np.array([apply_clumsiness_matrix(m, clumsiness) for m in stack])
         if k in measured:
-            new_branches = []
-            for o, m in branches:
-                for outcome in obs.outcomes:
-                    p = obs.projector(outcome)
-                    new_branches.append((o + (outcome,), p @ m @ p))
-            branches = new_branches
+            projs = obs.projector_stack[None]
+            branched = projs @ stack[:, None]
+            if not (trace_last and k == measured[-1]):
+                branched = branched @ projs
+            stack = branched.reshape(-1, d, d)
+            outcomes = [o + (s,) for o in outcomes for s in obs.outcomes]
         t_prev = t_k
-    return {o: float(np.real(np.trace(m))) for o, m in branches}
+    return dict(zip(outcomes, np.trace(stack, axis1=1, axis2=2).real.tolist()))
 
 
 def _clean_probs(raw: dict[tuple[int, ...], float]) -> dict[tuple[int, ...], float]:
@@ -357,14 +365,10 @@ def single_time_distribution(
     rho: DensityOperator, h: Hamiltonian, q: Observable, t: float
 ) -> OutcomeTable:
     """p(s) = Tr(P_s(t) rho) for a single measurement at time t."""
-    if q.dim != rho.dim or h.dim != rho.dim:
-        raise DimensionMismatchError("state, Hamiltonian and observable dimensions must agree")
-    rho_t = evolve_matrix(rho.matrix, h, t)
-    probs = {
-        (outcome,): float(np.real(np.trace(q.projector(outcome) @ rho_t)))
-        for outcome in q.outcomes
-    }
-    return OutcomeTable(slots=(tuple(q.outcomes),), probabilities=_clean_probs(probs))
+    raw = _propagate(
+        rho, h, [q], (t,), (1,), frozenset(), ClumsinessModel.none(), False, trace_last=True
+    )
+    return OutcomeTable(slots=(tuple(q.outcomes),), probabilities=_clean_probs(raw))
 
 
 def sequential_distribution(
@@ -413,21 +417,7 @@ def experiment_distribution(
     dephase_at = config.resolved_dephase_times(measured, m)
 
     if config.mode in ("inrm", "inrm_dephased") and len(measured) >= 2:
-        if measured != tuple(range(1, m + 1)):
-            # detectors sit at the measured times; run on the measured sub-schedule
-            unsupported = sorted(i for i in dephase_at if i not in measured)
-            if unsupported:
-                raise ValidationError(
-                    f"INRM modes cannot place the mechanism at non-measured times {unsupported}"
-                )
-            sub = Schedule(tuple(schedule[i - 1] for i in measured))
-            sub_obs = [observables[i - 1] for i in measured]
-            sub_dephase = tuple(sorted(measured.index(i) + 1 for i in dephase_at))
-            sub_config = replace(config, dephase_times=sub_dephase)
-            table = _assembled_inrm_table(rho, h, sub_obs, sub, sub_config)
-        else:
-            table = _assembled_inrm_table(rho, h, observables, schedule, config)
-        return replace(table, slot_times=measured)
+        return _assembled_inrm_table(rho, h, observables, schedule, measured, replace(config, shots=0))
 
     raw = _propagate(
         rho,
@@ -475,54 +465,60 @@ def inrm_distribution(
         )
     if any(c not in (1, -1) for c in couplings):
         raise ValidationError("couplings must be +1 or -1")
-    if q.dim != rho.dim or h.dim != rho.dim:
-        raise DimensionMismatchError("state, Hamiltonian and observable dimensions must agree")
-
-    measured = tuple(range(1, m + 1))
-    dephase_at = config.resolved_dephase_times(measured, m)
-    clumsiness = config.clumsiness
-    survivors = tuple(-c for c in couplings)
-
-    mat = rho.matrix
-    t_prev = 0.0
-    for k in range(1, m + 1):
-        mat = evolve_matrix(mat, h, schedule[k - 1] - t_prev)
-        if k in dephase_at:
-            mat = _diagonalize(mat, q, config.uses_ancilla)
-        if k == 1 and not clumsiness.is_trivial:
-            mat = apply_clumsiness_matrix(mat, clumsiness)
-        if k < m:
-            p = q.projector(survivors[k - 1])
-            mat = p @ mat @ p
-        t_prev = schedule[k - 1]
-
-    probs = {}
-    for s_m in q.outcomes:
-        probs[survivors + (s_m,)] = float(np.real(np.trace(q.projector(s_m) @ mat)))
-    probs = _clean_probs(probs)
-    surviving = sum(probs.values())
-    discarded = 1.0 - surviving
-    slots = tuple(tuple(q.outcomes) for _ in range(m))
-
+    if config.shots > 0 and seed is None:
+        raise ValidationError("seed is required for finite-shot INRM runs")
+    dephase_at = config.resolved_dephase_times(tuple(range(1, m + 1)), m)
+    partial = _inrm_partials(
+        rho, h, q, schedule.times, dephase_at, config.clumsiness, config.uses_ancilla
+    )[couplings]
     if config.shots > 0:
-        if seed is None:
-            raise ValidationError("seed is required for finite-shot INRM runs")
-        keys = sorted(probs)
-        pvals = np.array([min(1.0, max(0.0, probs[k])) for k in keys] + [max(0.0, discarded)])
-        pvals = pvals / pvals.sum()
-        counts = np.random.default_rng(seed).multinomial(config.shots, pvals)
-        probs = {k: counts[i] / config.shots for i, k in enumerate(keys)}
-        discarded = counts[-1] / config.shots
-        return InrmPartial(
-            slots=slots,
-            couplings=couplings,
-            probabilities=probs,
-            discarded=discarded,
-            kind="empirical",
-            shots=config.shots,
-        )
+        return _sample_partial(partial, config.shots, seed)
+    return partial
+
+
+def _inrm_partials(
+    rho: DensityOperator,
+    h: Hamiltonian,
+    q: DichotomicObservable,
+    times: Sequence[float],
+    dephase_at: frozenset[int],
+    clumsiness: ClumsinessModel,
+    via_ancilla: bool,
+) -> dict[tuple[int, ...], InrmPartial]:
+    """Exact partials of every detector configuration, keyed by couplings in product order.
+
+    One kernel run branches on the outcome at each detector time: the branch
+    with prefix ``survivors`` is the surviving run of the configuration that
+    couples to ``-survivors``.
+    """
+    m = len(times)
+    raw = _propagate(
+        rho, h, [q] * m, times, range(1, m + 1), dephase_at, clumsiness, via_ancilla,
+        trace_last=True,
+    )
+    slots = tuple(tuple(q.outcomes) for _ in range(m))
+    partials = {}
+    for couplings in itertools.product((1, -1), repeat=m - 1):
+        survivors = tuple(-c for c in couplings)
+        probs = _clean_probs({survivors + (s,): raw[survivors + (s,)] for s in q.outcomes})
+        partials[couplings] = InrmPartial(slots, couplings, probs, 1.0 - sum(probs.values()))
+    return partials
+
+
+def _sample_partial(partial: InrmPartial, shots: int, seed: int) -> InrmPartial:
+    """Multinomial emulation of one configuration: surviving outcomes plus the discard."""
+    probs = partial.probabilities
+    keys = sorted(probs)
+    pvals = np.array([min(1.0, max(0.0, probs[k])) for k in keys] + [max(0.0, partial.discarded)])
+    pvals = pvals / pvals.sum()
+    counts = np.random.default_rng(seed).multinomial(shots, pvals)
     return InrmPartial(
-        slots=slots, couplings=couplings, probabilities=probs, discarded=discarded
+        slots=partial.slots,
+        couplings=partial.couplings,
+        probabilities={k: counts[i] / shots for i, k in enumerate(keys)},
+        discarded=counts[-1] / shots,
+        kind="empirical",
+        shots=shots,
     )
 
 
@@ -568,19 +564,44 @@ def assemble_inrm(partials: Sequence[InrmPartial]) -> OutcomeTable:
 def _assembled_inrm_table(
     rho: DensityOperator,
     h: Hamiltonian,
-    observables: Sequence[Observable],
+    q: Observable | Sequence[Observable],
     schedule: Schedule,
+    measured: tuple[int, ...],
     config: ProtocolConfig,
+    next_seed: Callable[[], int] | None = None,
 ) -> OutcomeTable:
-    obs = observables[0]
-    if not isinstance(obs, DichotomicObservable) or any(o is not obs for o in observables):
+    """The table of one INRM experiment, assembled from all its detector configurations.
+
+    Detectors sit at the measured times, so the run uses the measured
+    sub-schedule and the mechanism (``config.dephase_times``, resolved
+    against ``measured``) must lie among them.  With ``config.shots > 0``
+    every configuration is sampled on its own, with one seed drawn from
+    ``next_seed`` per configuration, in couplings product order.
+    """
+    dephase_at = config.resolved_dephase_times(measured, len(schedule))
+    unsupported = sorted(i for i in dephase_at if i not in measured)
+    if unsupported:
+        raise ValidationError(
+            f"INRM modes cannot place the mechanism at non-measured times {unsupported}"
+        )
+    observables = _as_observable_list(q, len(schedule))
+    obs = observables[measured[0] - 1]
+    if not isinstance(obs, DichotomicObservable) or any(
+        observables[i - 1] is not obs for i in measured
+    ):
         raise ValidationError("INRM assembly requires a single dichotomic observable")
-    exact_config = replace(config, shots=0)
-    partials = [
-        inrm_distribution(rho, h, obs, schedule, couplings, exact_config)
-        for couplings in itertools.product((1, -1), repeat=len(schedule) - 1)
-    ]
-    return assemble_inrm(partials)
+    partials = _inrm_partials(
+        rho,
+        h,
+        obs,
+        tuple(schedule[i - 1] for i in measured),
+        frozenset(measured.index(i) + 1 for i in dephase_at),
+        config.clumsiness,
+        config.uses_ancilla,
+    ).values()
+    if config.shots > 0:
+        partials = [_sample_partial(p, config.shots, next_seed()) for p in partials]
+    return replace(assemble_inrm(partials), slot_times=measured)
 
 
 # ---------------------------------------------------------------------------
@@ -596,24 +617,23 @@ def blind_measurement_via_ancilla(mat: np.ndarray, q: Observable) -> np.ndarray:
     ancilla out leaves Sum_s P_s mat P_s.  The ancilla is traced immediately,
     which is exact because nothing acts on it afterwards.
     """
-    outcomes = tuple(q.outcomes)
-    na = len(outcomes)
-    d = mat.shape[0]
-    if q.dim != d:
+    if q.dim != mat.shape[0]:
         raise DimensionMismatchError("observable dimension does not match the state")
-    # controlled shift: |a_0> -> |a_k> on the k-th eigenspace
-    u = np.zeros((d * na, d * na), dtype=complex)
-    for k, outcome in enumerate(outcomes):
-        shift = np.zeros((na, na), dtype=complex)
-        for j in range(na):
-            shift[(j + k) % na, j] = 1.0
-        u += np.kron(q.projector(outcome), shift)
+    return _blind_stack(mat[None], q)[0]
+
+
+def _blind_stack(stack: np.ndarray, q: Observable) -> np.ndarray:
+    """``blind_measurement_via_ancilla`` on every matrix of a (B, d, d) stack at once."""
+    b, d, _ = stack.shape
+    u = q.controlled_shift
+    na = u.shape[0] // d
     ancilla0 = np.zeros((na, na), dtype=complex)
     ancilla0[0, 0] = 1.0
-    joint = u @ np.kron(mat, ancilla0) @ u.conj().T
+    # the elementwise products np.kron(mat, ancilla0) forms, for every branch
+    joint = (stack[:, :, None, :, None] * ancilla0[None, None, :, None, :]).reshape(b, d * na, d * na)
+    joint = (u @ joint @ u.conj().T).reshape(b, d, na, d, na)
     # partial trace over the ancilla
-    joint = joint.reshape(d, na, d, na)
-    return np.einsum("ajbj->ab", joint)
+    return np.einsum("xajbj->xab", joint)
 
 
 def ancilla_blind_reduced_state(
@@ -776,9 +796,23 @@ def table_from_json(data: Mapping) -> OutcomeTable:
     )
 
 
+def _slot_header(position: int, slot: tuple[int, ...]) -> str:
+    # Descending labels are what a bare header reads back as; any other
+    # order is spelled out so that it survives the round trip.
+    if list(slot) == sorted(slot, reverse=True):
+        return f"s{position}"
+    return f"s{position}[" + ";".join(_format_label(v) for v in slot) + "]"
+
+
 def table_to_csv(table: OutcomeTable) -> str:
-    """CSV with one outcome column per slot plus a probability column (LF endings)."""
-    header = ",".join([f"s{i + 1}" for i in range(table.arity)] + ["probability"])
+    """CSV with one outcome column per slot plus a probability column (LF endings).
+
+    A slot whose labels are not in descending order lists them in its
+    header cell, e.g. ``s1[+1;+2;+3]``.
+    """
+    header = ",".join(
+        [_slot_header(i + 1, slot) for i, slot in enumerate(table.slots)] + ["probability"]
+    )
     lines = [header]
     for outcome in sorted(table.probabilities):
         cells = [_format_label(v) for v in outcome] + [repr(table.probabilities[outcome])]
@@ -792,6 +826,11 @@ def table_from_csv(
     shots: int | None = None,
     slot_times: tuple[int, ...] | None = None,
 ) -> OutcomeTable:
+    """Parse ``table_to_csv`` output.
+
+    A bare ``s<i>`` header cell reads that slot's labels from the rows in
+    descending order; ``s<i>[...]`` gives them in order.
+    """
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if len(lines) < 2:
         raise ValidationError("CSV table needs a header and at least one row")
@@ -799,6 +838,13 @@ def table_from_csv(
     arity = len(header) - 1
     if arity < 1 or header[-1] != "probability":
         raise ValidationError("CSV table header must be s1,..,sm,probability")
+    declared: list[tuple[int, ...] | None] = []
+    for cell in header[:-1]:
+        _, bracket, labels = cell.partition("[")
+        try:
+            declared.append(tuple(int(v) for v in labels.rstrip("]").split(";")) if bracket else None)
+        except ValueError as exc:
+            raise ValidationError(f"CSV header cell {cell!r} has malformed labels") from exc
     probs: dict[tuple[int, ...], float] = {}
     for ln in lines[1:]:
         cells = ln.split(",")
@@ -807,6 +853,6 @@ def table_from_csv(
         outcome = tuple(int(c) for c in cells[:arity])
         probs[outcome] = float(cells[arity])
     slots = tuple(
-        tuple(sorted({o[i] for o in probs}, reverse=True)) for i in range(arity)
+        declared[i] or tuple(sorted({o[i] for o in probs}, reverse=True)) for i in range(arity)
     )
     return OutcomeTable(slots=slots, probabilities=probs, kind=kind, shots=shots, slot_times=slot_times)

@@ -4,16 +4,19 @@ States, observables, unitary evolution, and the dephasing / clumsiness
 channels that the measurement protocols are built from.  Everything works on
 dense complex matrices (the design envelope is d <= 16); all operations are
 pure functions of their inputs and the value types are immutable after
-construction, so they are safe to share across concurrent tasks.
+construction.  Derived arrays that every run needs (a Hamiltonian's spectrum,
+an observable's projectors and ancilla coupling, a unitary kick) are computed
+on first use and cached on the instance, read-only.
 
 Conventions: hbar = 1, Hamiltonians carry units of angular frequency, and the
 matrix exponential is always computed through a Hermitian eigendecomposition
-(exact at this scale, no step-size tuning).
+(exact at this scale, no step-size tuning), once per Hamiltonian.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -93,6 +96,23 @@ def _require_same_dim(a: int, b: int, what: str) -> None:
         raise DimensionMismatchError(f"{what}: dimensions differ ({a} vs {b})")
 
 
+def _controlled_shift(q) -> np.ndarray:
+    """Controlled shift |a_0> -> |a_k> on the k-th eigenspace (read-only).
+
+    Couples the system to an N-level ancilla, N the number of outcomes: the
+    CNOT in the observable's eigenbasis for a dichotomic observable.  Rows
+    and columns are ordered system-major, as in ``np.kron(system, ancilla)``.
+    """
+    na = len(q.outcomes)
+    u = np.zeros((q.dim, na, q.dim, na), dtype=complex)
+    for k, p in enumerate(q.projector_stack):
+        for j in range(na):
+            u[:, (j + k) % na, :, j] += p
+    u = u.reshape(q.dim * na, q.dim * na)
+    u.flags.writeable = False
+    return u
+
+
 PAULI_X = _freeze(np.array([[0, 1], [1, 0]]))
 PAULI_Y = _freeze(np.array([[0, -1j], [1j, 0]]))
 PAULI_Z = _freeze(np.array([[1, 0], [0, -1]]))
@@ -165,6 +185,14 @@ class Hamiltonian:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues, eigenvectors) of H, computed once per instance."""
+        eigvals, eigvecs = np.linalg.eigh(self.matrix)
+        eigvals.flags.writeable = False
+        eigvecs.flags.writeable = False
+        return eigvals, eigvecs
+
     @classmethod
     def zero(cls, dim: int) -> "Hamiltonian":
         return cls(np.zeros((dim, dim)))
@@ -199,12 +227,22 @@ class DichotomicObservable:
     def outcomes(self) -> tuple[int, ...]:
         return (1, -1)
 
-    def projector(self, outcome: int) -> np.ndarray:
+    @cached_property
+    def projector_stack(self) -> np.ndarray:
+        """(P_+, P_-) as one read-only (2, d, d) array, in ``outcomes`` order."""
         # Built from Q directly, never from numerically computed eigenvectors,
         # so degeneracy of Q cannot introduce basis ambiguity.
+        eye = np.eye(self.dim)
+        stack = np.array([(eye + outcome * self.matrix) / 2.0 for outcome in self.outcomes])
+        stack.flags.writeable = False
+        return stack
+
+    controlled_shift = cached_property(_controlled_shift)
+
+    def projector(self, outcome: int) -> np.ndarray:
         if outcome not in (1, -1):
             raise ValidationError(f"dichotomic outcome must be +1 or -1, got {outcome!r}")
-        return (np.eye(self.dim) + outcome * self.matrix) / 2.0
+        return self.projector_stack[0 if outcome == 1 else 1]
 
     @classmethod
     def sigma_z(cls) -> "DichotomicObservable":
@@ -251,6 +289,15 @@ class ManyValuedObservable:
     @property
     def outcomes(self) -> tuple[int, ...]:
         return self.labels
+
+    @cached_property
+    def projector_stack(self) -> np.ndarray:
+        """The projectors as one read-only (N, d, d) array, in ``outcomes`` order."""
+        stack = np.array(self.projectors)
+        stack.flags.writeable = False
+        return stack
+
+    controlled_shift = cached_property(_controlled_shift)
 
     def projector(self, outcome: int) -> np.ndarray:
         try:
@@ -320,6 +367,15 @@ class ClumsinessModel:
     def is_trivial(self) -> bool:
         return self.kind == "none" or (self.kind != "none" and self.strength == 0.0)
 
+    @cached_property
+    def kick_unitary(self) -> np.ndarray:
+        """exp(-i eps G) of a unitary kick, computed once per instance."""
+        if self.kind != "unitary_kick":
+            raise ValidationError(f"clumsiness kind {self.kind!r} has no kick unitary")
+        u = unitary_for(Hamiltonian(self.generator), self.strength)
+        u.flags.writeable = False
+        return u
+
 
 # ---------------------------------------------------------------------------
 # Operations
@@ -327,11 +383,11 @@ class ClumsinessModel:
 
 
 def unitary_for(h: Hamiltonian, t: float) -> np.ndarray:
-    """exp(-i H t) via Hermitian eigendecomposition."""
+    """exp(-i H t) from the Hamiltonian's cached eigendecomposition."""
     t = float(t)
     if not np.isfinite(t):
         raise ValidationError("evolution time must be finite")
-    eigvals, eigvecs = np.linalg.eigh(h.matrix)
+    eigvals, eigvecs = h.spectrum
     phases = np.exp(-1j * eigvals * t)
     return (eigvecs * phases) @ eigvecs.conj().T
 
@@ -356,8 +412,11 @@ def heisenberg_projector(q: DichotomicObservable, s: int, h: Hamiltonian, t: flo
 
 
 def dephase_matrix(m: np.ndarray, q: Observable) -> np.ndarray:
-    """Sum_s P_s m P_s for an arbitrary matrix (kills coherences in the Q basis)."""
-    _require_same_dim(m.shape[0], q.dim, "dephase")
+    """Sum_s P_s m P_s for an arbitrary matrix or (B, d, d) stack of matrices.
+
+    Kills coherences in the Q basis.
+    """
+    _require_same_dim(m.shape[-1], q.dim, "dephase")
     out = np.zeros_like(m, dtype=complex)
     for outcome in q.outcomes:
         p = q.projector(outcome)
@@ -410,10 +469,8 @@ def apply_clumsiness_matrix(m: np.ndarray, model: ClumsinessModel) -> np.ndarray
         eps = model.strength
         return (1.0 - eps) * m + eps * (complex(np.trace(m)) / d) * np.eye(d)
     # unitary_kick
-    gen = model.generator
-    assert gen is not None
-    _require_same_dim(m.shape[0], gen.shape[0], "apply_clumsiness")
-    u = unitary_for(Hamiltonian(gen), model.strength)
+    _require_same_dim(m.shape[0], model.generator.shape[0], "apply_clumsiness")
+    u = model.kick_unitary
     return u @ m @ u.conj().T
 
 

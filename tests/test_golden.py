@@ -1,0 +1,37 @@
+"""Byte-for-byte regression against committed CLI outputs.
+
+``tests/golden/cases.json`` lists fixed scenario and sweep inputs with the
+exact report bytes and exit code an earlier version of lgcert produced for
+them.  Reports must stay byte-identical for a fixed scenario and seed, so any
+difference here is a behaviour change: never regenerate these files to make
+a change pass.
+
+The certify scenarios cover the README precession with all nine checks
+(four times), random-Q ``ancilla_blind`` runs at d=2 and d=4, a d=16
+``inrm`` run, a d=4 ``inrm_dephased`` run at 10^4 shots and a d=4 run with a
+``unitary_kick`` clumsiness channel.  The d=2 ancilla case matters: there
+the ancilla circuit and plain dephasing differ in the last bit, so routing
+the blind mode through ``dephase`` changes its report.  The sweep is a d=2
+``inrm`` gap sweep at 1000 shots with one negative gap that must come back
+as an error row.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from lgcert.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["input"].removesuffix(".json") for c in CASES])
+def test_output_matches_golden_bytes(case, tmp_path):
+    out = tmp_path / case["output"]
+    code = main([case["command"], str(GOLDEN / case["input"]), "--out", str(out)])
+    assert code == case["exit_code"]
+    assert out.read_bytes() == (GOLDEN / case["output"]).read_bytes()

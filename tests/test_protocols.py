@@ -1,7 +1,10 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgcert.qcore import (
     ClumsinessModel,
@@ -33,6 +36,7 @@ from lgcert.protocols import (
     table_to_csv,
     table_to_json,
 )
+from lgcert.macrocert import check_nsit
 
 from conftest import (
     oracle_sequential,
@@ -518,3 +522,59 @@ class TestManyValued:
             coarse_grained_observable(obs, plus_labels=(9,))
         q = coarse_grained_observable(obs, plus_labels=(1, 3))
         np.testing.assert_allclose(q.matrix, np.diag([1.0, -1.0, 1.0]), atol=1e-12)
+
+
+@st.composite
+def outcome_tables(draw):
+    """Dichotomic and many-valued tables, exact or empirical, labels in any order."""
+    slot = st.one_of(
+        st.just((1, -1)),
+        st.lists(st.integers(-9, 9), min_size=2, max_size=4, unique=True).map(tuple),
+    )
+    slots = tuple(draw(st.lists(slot, min_size=1, max_size=3)))
+    outcomes = list(itertools.product(*slots))
+    counts = draw(
+        st.lists(st.integers(0, 50), min_size=len(outcomes), max_size=len(outcomes)).filter(any)
+    )
+    shots = sum(counts)
+    empirical = draw(st.booleans())
+    slot_times = tuple(range(1, len(slots) + 1)) if draw(st.booleans()) else None
+    return OutcomeTable(
+        slots=slots,
+        probabilities={o: c / shots for o, c in zip(outcomes, counts)},
+        kind="empirical" if empirical else "exact",
+        shots=shots if empirical else None,
+        slot_times=slot_times,
+    )
+
+
+class TestSerializationRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(table=outcome_tables())
+    def test_property_json_and_csv_round_trip(self, table):
+        from_json = table_from_json(json.loads(json.dumps(table_to_json(table))))
+        from_csv = table_from_csv(
+            table_to_csv(table), kind=table.kind, shots=table.shots, slot_times=table.slot_times
+        )
+        for back in (from_json, from_csv):
+            assert back.slots == table.slots
+            assert back.probabilities == table.probabilities
+            assert (back.kind, back.shots, back.slot_times) == (
+                table.kind, table.shots, table.slot_times
+            )
+
+    def test_many_valued_csv_keeps_label_order_for_nsit(self):
+        obs = ManyValuedObservable.computational(3)
+        rng = np.random.default_rng(3)
+        rho, h = random_density(rng, 3), random_hamiltonian(rng, 3)
+        pair, alone = run_nsit_pair(rho, h, obs, 0.5, 1.4, ProtocolConfig())
+        text = table_to_csv(pair)
+        assert text.startswith("s1[+1;+2;+3],s2[+1;+2;+3],probability\n")
+        back = table_from_csv(text)
+        assert back.slots == ((1, 2, 3), (1, 2, 3))
+        witness = check_nsit(back, alone, (1,))
+        assert witness.max_abs == check_nsit(pair, alone, (1,)).max_abs
+
+    def test_bare_csv_header_reads_labels_in_descending_order(self):
+        text = "s1,probability\n+1,0.25\n+2,0.25\n+3,0.5\n"
+        assert table_from_csv(text).slots == ((3, 2, 1),)
