@@ -14,6 +14,7 @@ interesting physics case), 2 = input or validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -36,9 +37,8 @@ from .protocols import (
     OutcomeTable,
     ProtocolConfig,
     Schedule,
-    _assembled_inrm_table,
-    experiment_distribution,
-    sample_counts,
+    _experiment_probabilities,
+    _experiment_table,
     table_to_json,
 )
 from . import macrocert
@@ -181,6 +181,8 @@ def _parse_observable(spec, dim: int) -> Observable:
 def _parse_clumsiness(spec) -> ClumsinessModel:
     if spec is None:
         return ClumsinessModel.none()
+    if not isinstance(spec, Mapping):
+        raise ScenarioError("protocol.clumsiness: must be a JSON object")
     try:
         kind = spec.get("kind", "none")
         if kind == "none":
@@ -199,7 +201,18 @@ def _parse_clumsiness(spec) -> ClumsinessModel:
         raise ScenarioError(f"protocol.clumsiness: {exc}") from exc
 
 
-def scenario_from_dict(data: Mapping[str, Any]) -> Scenario:
+_ABSENT = object()
+
+
+def scenario_from_dict(data: Mapping[str, Any], template: Scenario | None = None) -> Scenario:
+    """Validate a scenario dict; every error names the offending field.
+
+    ``template`` is a scenario parsed earlier from a dict that ``data`` was
+    derived from (a sweep row from its template).  Where ``data`` holds the
+    very object the template parsed its initial state, Hamiltonian or
+    observable from, at the same dimension, the template's parsed value is
+    reused, so sweep rows share one eigendecomposition.
+    """
     if not isinstance(data, Mapping):
         raise ScenarioError("scenario must be a JSON object")
     try:
@@ -209,9 +222,15 @@ def scenario_from_dict(data: Mapping[str, Any]) -> Scenario:
     if dim < 2:
         raise ScenarioError(f"dimension must be >= 2, got {dim}")
 
-    state = _parse_state(data.get("initial_state", "ground"), dim)
-    h = _parse_hamiltonian(data.get("hamiltonian", {"preset": "precession"}), dim)
-    obs = _parse_observable(data.get("observable", "sigma_z"), dim)
+    def parsed(name: str, parse, default):
+        spec = data.get(name, _ABSENT)
+        if template is not None and template.dimension == dim and spec is template.raw.get(name, _ABSENT):
+            return getattr(template, name)
+        return parse(default if spec is _ABSENT else spec, dim)
+
+    state = parsed("initial_state", _parse_state, "ground")
+    h = parsed("hamiltonian", _parse_hamiltonian, {"preset": "precession"})
+    obs = parsed("observable", _parse_observable, "sigma_z")
 
     try:
         schedule = Schedule(tuple(float(t) for t in data["schedule"]))
@@ -221,6 +240,8 @@ def scenario_from_dict(data: Mapping[str, Any]) -> Scenario:
         raise ScenarioError(f"schedule: {exc}") from exc
 
     proto = data.get("protocol", {}) or {}
+    if not isinstance(proto, Mapping):
+        raise ScenarioError("protocol: must be a JSON object")
     try:
         shots = int(data.get("shots", proto.get("shots", 0)))
         config = ProtocolConfig(
@@ -234,7 +255,10 @@ def scenario_from_dict(data: Mapping[str, Any]) -> Scenario:
     except (TypeError, ValueError, ValidationError) as exc:
         raise ScenarioError(f"protocol: {exc}") from exc
 
-    checks = tuple(str(c).upper() for c in data.get("checks", ()))
+    try:
+        checks = tuple(str(c).upper() for c in data.get("checks", ()))
+    except TypeError as exc:
+        raise ScenarioError(f"checks: {exc}") from exc
     unknown = [c for c in checks if c not in KNOWN_CHECKS]
     if unknown:
         raise ScenarioError(f"checks: unknown identifiers {unknown}; expected from {KNOWN_CHECKS}")
@@ -285,13 +309,15 @@ def load_sweep(path: str | Path) -> SweepSpec:
         raise ScenarioError(
             f"sweep file {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
+    if not isinstance(data, dict):
+        raise ScenarioError("sweep: the file must hold a JSON object")
     if "scenario" not in data:
         raise ScenarioError("sweep: missing 'scenario' template")
     parameter = data.get("parameter")
     if not parameter or not isinstance(parameter, str):
         raise ScenarioError("sweep: 'parameter' must be a non-empty dotted path")
     values = data.get("values")
-    if not values:
+    if not isinstance(values, list) or not values:
         raise ScenarioError("sweep: 'values' must be a non-empty list")
     scenario_from_dict(data["scenario"])  # validate the template eagerly
     return SweepSpec(template=data["scenario"], parameter=parameter, values=tuple(values))
@@ -331,18 +357,126 @@ def _times_name(times: Sequence[int]) -> str:
     return "".join(str(i) for i in times)
 
 
+def _batch_signature(s: Scenario) -> tuple:
+    """What rows must share for one kernel call to serve them all.
+
+    Rows with equal signatures differ only in schedule times and clumsiness
+    strength.  The parsed state, Hamiltonian and observable count by
+    identity: sweep rows share the template's objects.  A kick generator's
+    shape is part of it so that a row with a mismatched generator fails on
+    its own.
+    """
+    c = s.config
+    generator = c.clumsiness.generator
+    return (
+        id(s.initial_state),
+        id(s.hamiltonian),
+        id(s.observable),
+        c.mode,
+        c.dephase_times,
+        len(s.schedule),
+        c.clumsiness.kind,
+        c.clumsiness.is_trivial,
+        None if generator is None else generator.shape,
+        s.shots,
+    )
+
+
+# Rows per kernel call are capped so that one call's final branch stack holds
+# at most this many complex entries (16 MB), unless a single row needs more.
+_BATCH_ENTRIES = 1 << 20
+
+
+def _experiment_config(
+    s: Scenario, measured: tuple[int, ...], mechanism: tuple[int, ...], clean: bool
+) -> ProtocolConfig:
+    """How one experiment of scenario ``s`` runs.
+
+    A single read-out has no INRM detectors, and a mechanism at a
+    non-detector time is not expressible with them; such experiments run the
+    entrywise-equal projective counterpart on the master schedule.
+    """
+    mode = s.config.mode
+    if mode in ("inrm", "inrm_dephased") and (
+        len(measured) < 2 or not set(mechanism) <= set(measured)
+    ):
+        mode = "projective" if mode == "inrm" else "projective_dephased"
+    clumsiness = ClumsinessModel.none() if clean else s.config.clumsiness
+    return ProtocolConfig(mode=mode, dephase_times=mechanism, clumsiness=clumsiness, shots=s.shots)
+
+
+class _RowSet:
+    """The parsed rows of a sweep, or the one row of a single certification.
+
+    ``scenarios`` holds each row's scenario, or the message of the error its
+    parsing raised.  The first row to ask for an experiment runs it in one
+    kernel call for itself and every later row with the same batch
+    signature, and keeps the later rows' exact probabilities, one (R, N)
+    array per call, until each row asks for them.
+    """
+
+    def __init__(self, scenarios: Sequence[Scenario | str]):
+        self.scenarios = list(scenarios)
+        self._signatures = [
+            _batch_signature(s) if isinstance(s, Scenario) else None for s in self.scenarios
+        ]
+        self._pending: dict[tuple, tuple[list[tuple[int, ...]], np.ndarray]] = {}
+
+    def scenario(self, row: int) -> Scenario:
+        s = self.scenarios[row]
+        if isinstance(s, str):
+            raise ScenarioError(s)
+        return s
+
+    def probabilities(
+        self, row: int, request: tuple, config: ProtocolConfig
+    ) -> tuple[list[tuple[int, ...]], np.ndarray]:
+        """Outcome tuples and one row's exact, unclamped probabilities for one experiment.
+
+        ``request`` is the experiment's ``(measured, mechanism, clean)`` and
+        ``config`` the row's ``_experiment_config`` for it.
+        """
+        ready = self._pending.pop((row, request), None)
+        if ready is not None:
+            return ready
+        measured, _, clean = request
+        s = self.scenarios[row]
+        signature = self._signatures[row]
+        group = [j for j in range(row, len(self.scenarios)) if self._signatures[j] == signature]
+        branches = len(s.observable.outcomes) ** len(measured)
+        group = group[: max(1, _BATCH_ENTRIES // (branches * s.dimension**2))]
+        rows = [self.scenarios[j] for j in group]
+        outcomes, raw = _experiment_probabilities(
+            s.initial_state,
+            s.hamiltonian,
+            [s.observable] * len(s.schedule),
+            [r.schedule for r in rows],
+            measured,
+            config,
+            [config.clumsiness if clean else r.config.clumsiness for r in rows],
+        )
+        for position, j in enumerate(group[1:], start=1):
+            self._pending[(j, request)] = (outcomes, raw[position])
+        return outcomes, raw[0]
+
+
 class _ExperimentRunner:
-    """Runs and caches the independent experiments a scenario needs.
+    """Runs and caches the independent experiments one row's scenario needs.
 
     Every sampled experiment draws its own child seed from the scenario seed
     in execution order, so identical scenarios reproduce byte-identical
-    reports.
+    reports, whether the row runs alone or within a sweep.
     """
 
-    def __init__(self, scenario: Scenario):
-        self.s = scenario
+    def __init__(self, rows: _RowSet, row: int):
+        self.rows = rows
+        self.row = row
+        self.s = rows.scenario(row)
         self.tables: dict[str, OutcomeTable] = {}
-        self._seed_root = np.random.SeedSequence(scenario.seed)
+        # Exact probabilities per (measured, mechanism, clean): experiments
+        # under different keys (a moment's and the NSIT pair's) may share one.
+        self._exact: dict[tuple, tuple[list[tuple[int, ...]], np.ndarray]] = {}
+        self._seed_root = np.random.SeedSequence(self.s.seed)
 
     def _next_seed(self) -> int:
         return int(self._seed_root.spawn(1)[0].generate_state(1)[0])
@@ -351,48 +485,40 @@ class _ExperimentRunner:
         self,
         measured: tuple[int, ...],
         mechanism: tuple[int, ...] | None = None,
-        clumsiness: ClumsinessModel | None = None,
+        clean: bool = False,
         key: str | None = None,
     ) -> OutcomeTable:
         """One independent experiment reading out the given schedule times.
 
         ``mechanism`` (master 1-based times, default: the protocol's own
-        resolution) places the diagonalization; ``clumsiness`` defaults to the
-        scenario's channel, injected before the experiment's first
-        measurement.
+        resolution) places the diagonalization; the scenario's clumsiness
+        channel is injected before the experiment's first measurement unless
+        ``clean``.
         """
         s = self.s
         if mechanism is None:
             mechanism = tuple(sorted(s.config.resolved_dephase_times(measured, len(s.schedule))))
-        if clumsiness is None:
-            clumsiness = s.config.clumsiness
         if key is None:
             key = _times_name(measured) + ("" if not mechanism else "_blind" + _times_name(mechanism))
-            if clumsiness.is_trivial and not s.config.clumsiness.is_trivial:
+            if clean and not s.config.clumsiness.is_trivial:
                 key += "_clean"
         if key in self.tables:
             return self.tables[key]
 
-        mode = s.config.mode
-        inrm = mode in ("inrm", "inrm_dephased")
-        if inrm and (len(measured) < 2 or not set(mechanism) <= set(measured)):
-            # A single read-out has no detectors, and a mechanism at a
-            # non-detector time is not expressible with them; run the
-            # entrywise-equal projective counterpart on the master schedule.
-            inrm = False
-            mode = "projective" if mode == "inrm" else "projective_dephased"
-        config = ProtocolConfig(mode=mode, dephase_times=mechanism, clumsiness=clumsiness, shots=s.shots)
-        args = (s.initial_state, s.hamiltonian, s.observable, s.schedule, measured, config)
-        if inrm:
-            # Detectors sit at the measured times; every configuration draws
-            # its own child seed.
-            if not isinstance(s.observable, DichotomicObservable):
-                raise ScenarioError("protocol: INRM modes require a dichotomic observable")
-            table = _assembled_inrm_table(*args, self._next_seed)
-        else:
-            table = experiment_distribution(*args)
-            if s.shots > 0:
-                table = sample_counts(table, s.shots, self._next_seed())
+        config = _experiment_config(s, measured, mechanism, clean)
+        if config.mode in ("inrm", "inrm_dephased") and not isinstance(
+            s.observable, DichotomicObservable
+        ):
+            raise ScenarioError("protocol: INRM modes require a dichotomic observable")
+        request = (measured, mechanism, clean)
+        if request not in self._exact:
+            self._exact[request] = self.rows.probabilities(self.row, request, config)
+        outcomes, raw = self._exact[request]
+        # Detectors sit at the measured times; every INRM configuration draws
+        # its own child seed.
+        table = _experiment_table(
+            outcomes, raw, [s.observable] * len(s.schedule), measured, config, self._next_seed
+        )
         self.tables[key] = table
         return table
 
@@ -404,20 +530,15 @@ class _ExperimentRunner:
         # The companion run makes no measurement at t1, so it carries no
         # clumsiness; the diagonalization mechanism stays in place.
         companion_key = "nsit:2" + ("" if not mech else "_blind" + _times_name(mech))
-        companion = self.experiment(
-            (2,), mechanism=mech, clumsiness=ClumsinessModel.none(), key=companion_key
-        )
+        companion = self.experiment((2,), mechanism=mech, clean=True, key=companion_key)
         return pair, companion
 
 
-def run_certification(scenario: Scenario) -> dict:
-    """Execute every experiment a scenario's checks require and certify.
-
-    Returns the full report: every probability table, moment, margin, witness
-    and verdict, plus the seed and exact/empirical mode.  Deterministic for a
-    fixed scenario and seed.
-    """
-    s = scenario
+def _certify(
+    rows: _RowSet, row: int
+) -> tuple[dict[str, OutcomeTable], MomentSet | None, list[ConditionResult], list[WitnessReport]]:
+    """Run every experiment one row's checks require; return tables, moments, conditions, witnesses."""
+    s = rows.scenario(row)
     n_times = len(s.schedule)
     for check in s.checks:
         if n_times < _CHECK_MIN_TIMES[check]:
@@ -427,7 +548,7 @@ def run_certification(scenario: Scenario) -> dict:
                 f"checks: {check} needs at least {_CHECK_MIN_TIMES[check]} schedule times, got {n_times}{detail}"
             )
 
-    runner = _ExperimentRunner(s)
+    runner = _ExperimentRunner(rows, row)
     moment_times: list[tuple[int, ...]] = []
     for check in s.checks:
         for times in _MOMENT_REQUIREMENTS.get(check, []):
@@ -474,11 +595,10 @@ def run_certification(scenario: Scenario) -> dict:
             # every detector time that is not read out (plus the detector times
             # of the full run, where it is harmless).
             use_mech = s.config.uses_mechanism
-            clean = ClumsinessModel.none()
             p123 = runner.experiment((1, 2, 3), mechanism=(1, 2) if use_mech else ())
-            p23 = runner.experiment((2, 3), mechanism=(1,) if use_mech else (), clumsiness=clean)
-            p13 = runner.experiment((1, 3), mechanism=(2,) if use_mech else (), clumsiness=clean)
-            p3 = runner.experiment((3,), mechanism=(1, 2) if use_mech else (), clumsiness=clean)
+            p23 = runner.experiment((2, 3), mechanism=(1,) if use_mech else (), clean=True)
+            p13 = runner.experiment((1, 3), mechanism=(2,) if use_mech else (), clean=True)
+            p3 = runner.experiment((3,), mechanism=(1, 2) if use_mech else (), clean=True)
             witnesses.append(check_nsit(p23, p3, (1,), condition="NSIT-(3;23)"))
             witnesses.append(check_nsit(p123, p13, (2,), condition="NSIT-(13;123)"))
             witnesses.append(check_nsit(p123, p23, (1,), condition="NSIT-(23;123)"))
@@ -491,22 +611,37 @@ def run_certification(scenario: Scenario) -> dict:
                     s.initial_state, s.hamiltonian, s.observable, s.schedule[0], s.schedule[1]
                 )
             )
+    return runner.tables, moments, conditions, witnesses
 
+
+def _verdict(conditions: Sequence[ConditionResult], witnesses: Sequence[WitnessReport]) -> str:
     all_ok = all(c.verdict == "satisfied" for c in conditions) and all(
         w.verdict == "non-invasive" for w in witnesses
     )
+    return "all_satisfied" if all_ok else "violations"
+
+
+def run_certification(scenario: Scenario) -> dict:
+    """Execute every experiment a scenario's checks require and certify.
+
+    Returns the full report: every probability table, moment, margin, witness
+    and verdict, plus the seed and exact/empirical mode.  Deterministic for a
+    fixed scenario and seed.
+    """
+    s = scenario
+    tables, moments, conditions, witnesses = _certify(_RowSet([s]), 0)
     return {
         "seed": s.seed,
         "mode": "empirical" if s.shots > 0 else "exact",
         "shots": s.shots,
         "checks": list(s.checks),
-        "experiments": {k: table_to_json(t) for k, t in sorted(runner.tables.items())},
+        "experiments": {k: table_to_json(t) for k, t in sorted(tables.items())},
         "moments": (
             {_times_name(k): v for k, v in sorted(moments.values.items())} if moments else {}
         ),
         "conditions": [c.to_json() for c in conditions],
         "witnesses": [w.to_json() for w in witnesses],
-        "verdict": "all_satisfied" if all_ok else "violations",
+        "verdict": _verdict(conditions, witnesses),
     }
 
 
@@ -515,49 +650,70 @@ def run_certification(scenario: Scenario) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _set_path(data: dict, path: str, value) -> None:
-    parts = path.split(".")
+def _row_data(template: Mapping[str, Any], parameter: str, value) -> dict:
+    """The template with ``value`` set at ``parameter``; only the dicts along the path are copied."""
+    data = dict(template)
+    if parameter == "schedule.gap":
+        m = len(template.get("schedule", [])) or 3
+        try:
+            gap = float(value)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"schedule.gap: {exc}") from exc
+        data["schedule"] = [gap * (k + 1) for k in range(m)]
+        return data
+    parts = parameter.split(".")
     node = data
     for part in parts[:-1]:
         nxt = node.get(part)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            node[part] = nxt
+        nxt = dict(nxt) if isinstance(nxt, dict) else {}
+        node[part] = nxt
         node = nxt
     node[parts[-1]] = value
+    return data
 
 
-def _scenario_with_value(template: Mapping[str, Any], parameter: str, value) -> Scenario:
-    data = json.loads(json.dumps(dict(template)))  # deep copy via JSON round trip
-    if parameter == "schedule.gap":
-        m = len(template.get("schedule", [])) or 3
-        data["schedule"] = [float(value) * (k + 1) for k in range(m)]
-    else:
-        _set_path(data, parameter, value)
-    return scenario_from_dict(data)
-
-
-def _sweep_row(template: Mapping[str, Any], parameter: str, value) -> dict:
+def _sweep_row(rows: _RowSet, row: int, value) -> dict:
     try:
-        scenario = _scenario_with_value(template, parameter, value)
-        report = run_certification(scenario)
-        margins: dict[str, float] = {}
-        for cond in report["conditions"]:
-            margins[cond["id"]] = cond["margin"]
-        for wit in report["witnesses"]:
-            margins[wit["id"]] = wit["max_abs"]
-        return {"value": value, "margins": margins, "verdict": report["verdict"], "error": ""}
-    except (ScenarioError, ValidationError) as exc:
+        _, _, conditions, witnesses = _certify(rows, row)
+    except ValidationError as exc:
         return {"value": value, "margins": {}, "verdict": "error", "error": str(exc)}
+    margins: dict[str, float] = {}
+    for cond in conditions:
+        margins[cond.condition] = cond.margin
+    for wit in witnesses:
+        margins[wit.condition] = wit.max_abs
+    return {"value": value, "margins": margins, "verdict": _verdict(conditions, witnesses), "error": ""}
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Evaluate the scenario at every swept value, one row after another, in sweep order.
+    """Evaluate the scenario at every swept value; one row per value, in sweep order.
 
-    A failing row carries its error message in the ``error`` field and the
-    sweep continues.
+    The template is parsed once.  Each row copies only the dicts along the
+    swept path and reuses the template's parsed state, Hamiltonian and
+    observable wherever its subtree is the template's own, so a
+    ``schedule.gap`` or clumsiness-strength sweep shares one
+    eigendecomposition.  Rows that differ only in schedule times or
+    clumsiness strength run each experiment in one kernel call, filled by the
+    first row that asks; sampling, child seeds and checks stay per row, so
+    every row equals ``run_certification`` on its own scenario.  A row that
+    fails, including one whose value is malformed, carries its error message
+    in the ``error`` field and the sweep continues.
     """
-    return [_sweep_row(spec.template, spec.parameter, value) for value in spec.values]
+    try:
+        template = scenario_from_dict(spec.template)
+    except ValidationError:
+        template = None  # the rows may still be valid; each one reports its own errors
+    scenarios: list[Scenario | str] = []
+    for value in spec.values:
+        try:
+            data = _row_data(spec.template, spec.parameter, value)
+            scenarios.append(scenario_from_dict(data, template))
+        except ValidationError as exc:
+            # Only the message: a kept exception's traceback would hold this
+            # frame, and with it every row, until the garbage collector runs.
+            scenarios.append(str(exc))
+    rows = _RowSet(scenarios)
+    return [_sweep_row(rows, row, value) for row, value in enumerate(spec.values)]
 
 
 def sweep_to_csv(rows: Sequence[dict]) -> str:
@@ -616,7 +772,9 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return scenario_from_dict(data)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="lgcert",
         description="Simulate measurement protocols on few-level systems and certify macrorealism conditions.",
@@ -640,8 +798,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_oracle = sub.add_parser("oracle", help="dump the raw experiment tables only")
     p_oracle.add_argument("scenario", help="scenario JSON file")
     add_common(p_oracle)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.command == "certify":

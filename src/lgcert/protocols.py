@@ -11,8 +11,11 @@ Probabilities are computed by unnormalized branch propagation: branch weights
 are carried through the whole run and never divided by, so zero-probability
 branches simply report zero for all continuations.  One kernel, ``_propagate``,
 serves every protocol: it carries all branches as one (B, d, d) stack, builds
-each time step's unitary once per run from the Hamiltonian's cached spectrum,
-and runs every INRM detector configuration in the same pass.
+every time step's unitary from the Hamiltonian's cached spectrum in one
+vectorised exp, and runs every INRM detector configuration in the same pass.
+A leading row axis lets one call serve several runs that differ only in
+their schedule times and clumsiness, as the rows of a sweep do; a single run
+is one row.
 """
 
 from __future__ import annotations
@@ -289,20 +292,25 @@ def _propagate(
     rho: DensityOperator,
     h: Hamiltonian,
     observables: Sequence[Observable],
-    times: Sequence[float],
+    times: Sequence[Sequence[float]],
     measured: Sequence[int],
     dephase_at: frozenset[int],
-    clumsiness: ClumsinessModel,
+    clumsiness: Sequence[ClumsinessModel],
     via_ancilla: bool,
     trace_last: bool = False,
-) -> dict[tuple[int, ...], float]:
-    """Branch-propagate and return unclamped probabilities per outcome tuple.
+) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Branch-propagate R rows of one experiment; return outcomes and unclamped probabilities.
 
-    All branches travel as one (B, d, d) stack: one batched conjugation per
-    time step, one batched projection per read-out (every branch onto every
-    outcome, in product order), one trace at the end.  Each read-out is
-    P_s m P_s, except that with ``trace_last`` the last one is read as
-    Tr(P_s m), the final measurement of an INRM run.
+    The rows differ only in their schedule times (``times``, one sequence per
+    row) and clumsiness models (``clumsiness``, one per row, all of one kind
+    and triviality); a single run is the case R = 1.  All branches of all
+    rows travel as one (R, B, d, d) stack: one batched conjugation per time
+    step with per-row unitaries (every step of every row from one vectorised
+    exp over the cached spectrum), one batched projection per read-out
+    (every branch onto every outcome, in product order), one trace at the
+    end.  Each read-out is P_s m P_s, except that with ``trace_last``
+    the last one is read as Tr(P_s m), the final measurement of an INRM run.
+    Returns the outcome tuples in product order and an (R, N) array.
     """
     for obs in observables:
         if obs.dim != rho.dim:
@@ -316,35 +324,40 @@ def _propagate(
     measured = sorted(measured)
     if not measured:
         raise ValidationError("at least one measured time is required")
-    clumsy_at = measured[0] if not clumsiness.is_trivial else None
+    clumsy_at = measured[0] if not clumsiness[0].is_trivial else None
     last_relevant = max([*measured, *dephase_at]) if dephase_at else measured[-1]
     d = rho.dim
-    unitaries: dict[float, tuple[np.ndarray, np.ndarray]] = {}  # per time step, this run only
+    times = np.asarray(times, dtype=float)[:, :last_relevant]
+    steps = times.copy()
+    steps[:, 1:] -= times[:, :-1]
+    unitaries = unitary_for(h, steps.ravel()).reshape(*steps.shape, d, d)
+    adjoints = unitaries.conj().swapaxes(-1, -2)
 
     outcomes: list[tuple[int, ...]] = [()]
-    stack = rho.matrix[None]
-    t_prev = 0.0
-    for k, t_k in enumerate(times[:last_relevant], start=1):
-        dt = t_k - t_prev
-        if dt not in unitaries:
-            u = unitary_for(h, dt)
-            unitaries[dt] = (u, u.conj().T)
-        u, udag = unitaries[dt]
-        stack = u @ stack @ udag
+    stack = rho.matrix[None, None]
+    for k in range(1, steps.shape[1] + 1):
+        stack = unitaries[:, k - 1, None] @ stack @ adjoints[:, k - 1, None]
         obs = observables[k - 1]
         if k in dephase_at:
-            stack = _blind_stack(stack, obs) if via_ancilla else dephase_matrix(stack, obs)
+            if via_ancilla:
+                stack = _blind_stack(stack.reshape(-1, d, d), obs).reshape(stack.shape)
+            else:
+                stack = dephase_matrix(stack, obs)
         if k == clumsy_at:
-            stack = np.array([apply_clumsiness_matrix(m, clumsiness) for m in stack])
+            # each row's branches take that row's clumsiness model
+            b = stack.shape[1]
+            flat = stack.reshape(-1, d, d)
+            stack = np.array(
+                [apply_clumsiness_matrix(m, clumsiness[i // b]) for i, m in enumerate(flat)]
+            ).reshape(stack.shape)
         if k in measured:
-            projs = obs.projector_stack[None]
-            branched = projs @ stack[:, None]
+            projs = obs.projector_stack
+            branched = projs @ stack[:, :, None]
             if not (trace_last and k == measured[-1]):
                 branched = branched @ projs
-            stack = branched.reshape(-1, d, d)
+            stack = branched.reshape(len(stack), -1, d, d)
             outcomes = [o + (s,) for o in outcomes for s in obs.outcomes]
-        t_prev = t_k
-    return dict(zip(outcomes, np.trace(stack, axis1=1, axis2=2).real.tolist()))
+    return outcomes, np.trace(stack, axis1=2, axis2=3).real
 
 
 def _clean_probs(raw: dict[tuple[int, ...], float]) -> dict[tuple[int, ...], float]:
@@ -365,10 +378,12 @@ def single_time_distribution(
     rho: DensityOperator, h: Hamiltonian, q: Observable, t: float
 ) -> OutcomeTable:
     """p(s) = Tr(P_s(t) rho) for a single measurement at time t."""
-    raw = _propagate(
-        rho, h, [q], (t,), (1,), frozenset(), ClumsinessModel.none(), False, trace_last=True
+    outcomes, raw = _propagate(
+        rho, h, [q], [(t,)], (1,), frozenset(), [ClumsinessModel.none()], False, trace_last=True
     )
-    return OutcomeTable(slots=(tuple(q.outcomes),), probabilities=_clean_probs(raw))
+    return OutcomeTable(
+        slots=(tuple(q.outcomes),), probabilities=_clean_probs(dict(zip(outcomes, raw[0].tolist())))
+    )
 
 
 def sequential_distribution(
@@ -414,27 +429,93 @@ def experiment_distribution(
         raise ValidationError("measured time subset must be non-empty")
     if any(i < 1 or i > m for i in measured):
         raise ValidationError(f"measured indices must lie in 1..{m}")
-    dephase_at = config.resolved_dephase_times(measured, m)
+    config = replace(config, shots=0)
+    outcomes, raw = _experiment_probabilities(
+        rho, h, observables, [schedule], measured, config, [config.clumsiness]
+    )
+    return _experiment_table(outcomes, raw[0], observables, measured, config)
 
-    if config.mode in ("inrm", "inrm_dephased") and len(measured) >= 2:
-        return _assembled_inrm_table(rho, h, observables, schedule, measured, replace(config, shots=0))
 
-    raw = _propagate(
+def _is_inrm(config: ProtocolConfig, measured: Sequence[int]) -> bool:
+    return config.mode in ("inrm", "inrm_dephased") and len(measured) >= 2
+
+
+def _experiment_probabilities(
+    rho: DensityOperator,
+    h: Hamiltonian,
+    observables: Sequence[Observable],
+    schedules: Sequence[Schedule],
+    measured: tuple[int, ...],
+    config: ProtocolConfig,
+    clumsiness: Sequence[ClumsinessModel],
+) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The kernel run of one experiment for rows that differ only in schedule times and clumsiness.
+
+    ``schedules`` (all of one length) and ``clumsiness`` (all of one kind and
+    triviality) hold one entry per row; ``config`` gives the mode and the
+    mechanism, and its own clumsiness model is not used.  INRM modes with two
+    or more read-outs put their detectors at the measured times, so they run
+    the measured sub-schedule, branch on every detector outcome and read the
+    last time as a trace; the mechanism (``dephase_times``, resolved against
+    ``measured``) must then lie among the measured times.  Returns the outcome
+    tuples and an (R, N) array of unclamped probabilities.
+    """
+    dephase_at = config.resolved_dephase_times(measured, len(schedules[0]))
+    if not _is_inrm(config, measured):
+        times = [schedule.times for schedule in schedules]
+        return _propagate(
+            rho, h, observables, times, measured, dephase_at, clumsiness, config.uses_ancilla
+        )
+    unsupported = sorted(i for i in dephase_at if i not in measured)
+    if unsupported:
+        raise ValidationError(
+            f"INRM modes cannot place the mechanism at non-measured times {unsupported}"
+        )
+    obs = observables[measured[0] - 1]
+    if not isinstance(obs, DichotomicObservable) or any(
+        observables[i - 1] is not obs for i in measured
+    ):
+        raise ValidationError("INRM assembly requires a single dichotomic observable")
+    return _propagate(
         rho,
         h,
-        observables,
-        schedule.times,
-        measured,
-        dephase_at,
-        config.clumsiness,
+        [obs] * len(measured),
+        [[schedule[i - 1] for i in measured] for schedule in schedules],
+        range(1, len(measured) + 1),
+        frozenset(measured.index(i) + 1 for i in dephase_at),
+        clumsiness,
         config.uses_ancilla,
+        trace_last=True,
     )
-    slots = tuple(tuple(observables[i - 1].outcomes) for i in measured)
-    return OutcomeTable(
-        slots=slots,
-        probabilities=_clean_probs(raw),
+
+
+def _experiment_table(
+    outcomes: Sequence[tuple[int, ...]],
+    raw: np.ndarray,
+    observables: Sequence[Observable],
+    measured: tuple[int, ...],
+    config: ProtocolConfig,
+    next_seed: Callable[[], int] | None = None,
+) -> OutcomeTable:
+    """One row's table from its ``_experiment_probabilities`` output.
+
+    INRM modes assemble the table from every detector configuration.  With
+    ``config.shots > 0`` the table is sampled with seeds drawn from
+    ``next_seed``: one for a directly sampled table, one per INRM
+    configuration in couplings product order.
+    """
+    probs = dict(zip(outcomes, raw.tolist()))
+    if _is_inrm(config, measured):
+        partials = _inrm_partials(probs, observables[measured[0] - 1], len(measured)).values()
+        if config.shots > 0:
+            partials = [_sample_partial(p, config.shots, next_seed()) for p in partials]
+        return replace(assemble_inrm(partials), slot_times=measured)
+    table = OutcomeTable(
+        slots=tuple(tuple(observables[i - 1].outcomes) for i in measured),
+        probabilities=_clean_probs(probs),
         slot_times=measured,
     )
+    return sample_counts(table, config.shots, next_seed()) if config.shots > 0 else table
 
 
 def inrm_distribution(
@@ -468,34 +549,26 @@ def inrm_distribution(
     if config.shots > 0 and seed is None:
         raise ValidationError("seed is required for finite-shot INRM runs")
     dephase_at = config.resolved_dephase_times(tuple(range(1, m + 1)), m)
-    partial = _inrm_partials(
-        rho, h, q, schedule.times, dephase_at, config.clumsiness, config.uses_ancilla
-    )[couplings]
+    outcomes, raw = _propagate(
+        rho, h, [q] * m, [schedule.times], range(1, m + 1), dephase_at, [config.clumsiness],
+        config.uses_ancilla, trace_last=True,
+    )
+    partial = _inrm_partials(dict(zip(outcomes, raw[0].tolist())), q, m)[couplings]
     if config.shots > 0:
         return _sample_partial(partial, config.shots, seed)
     return partial
 
 
 def _inrm_partials(
-    rho: DensityOperator,
-    h: Hamiltonian,
-    q: DichotomicObservable,
-    times: Sequence[float],
-    dephase_at: frozenset[int],
-    clumsiness: ClumsinessModel,
-    via_ancilla: bool,
+    raw: Mapping[tuple[int, ...], float], q: DichotomicObservable, m: int
 ) -> dict[tuple[int, ...], InrmPartial]:
     """Exact partials of every detector configuration, keyed by couplings in product order.
 
-    One kernel run branches on the outcome at each detector time: the branch
-    with prefix ``survivors`` is the surviving run of the configuration that
+    ``raw`` is one kernel run over m times that branches on the outcome at
+    each detector time and reads the last one as a trace: the branch with
+    prefix ``survivors`` is the surviving run of the configuration that
     couples to ``-survivors``.
     """
-    m = len(times)
-    raw = _propagate(
-        rho, h, [q] * m, times, range(1, m + 1), dephase_at, clumsiness, via_ancilla,
-        trace_last=True,
-    )
     slots = tuple(tuple(q.outcomes) for _ in range(m))
     partials = {}
     for couplings in itertools.product((1, -1), repeat=m - 1):
@@ -559,49 +632,6 @@ def assemble_inrm(partials: Sequence[InrmPartial]) -> OutcomeTable:
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValidationError(f"assembled INRM table must sum to 1 (got {total!r})")
     return OutcomeTable(slots=slots, probabilities=probs, kind=kind, shots=shots)
-
-
-def _assembled_inrm_table(
-    rho: DensityOperator,
-    h: Hamiltonian,
-    q: Observable | Sequence[Observable],
-    schedule: Schedule,
-    measured: tuple[int, ...],
-    config: ProtocolConfig,
-    next_seed: Callable[[], int] | None = None,
-) -> OutcomeTable:
-    """The table of one INRM experiment, assembled from all its detector configurations.
-
-    Detectors sit at the measured times, so the run uses the measured
-    sub-schedule and the mechanism (``config.dephase_times``, resolved
-    against ``measured``) must lie among them.  With ``config.shots > 0``
-    every configuration is sampled on its own, with one seed drawn from
-    ``next_seed`` per configuration, in couplings product order.
-    """
-    dephase_at = config.resolved_dephase_times(measured, len(schedule))
-    unsupported = sorted(i for i in dephase_at if i not in measured)
-    if unsupported:
-        raise ValidationError(
-            f"INRM modes cannot place the mechanism at non-measured times {unsupported}"
-        )
-    observables = _as_observable_list(q, len(schedule))
-    obs = observables[measured[0] - 1]
-    if not isinstance(obs, DichotomicObservable) or any(
-        observables[i - 1] is not obs for i in measured
-    ):
-        raise ValidationError("INRM assembly requires a single dichotomic observable")
-    partials = _inrm_partials(
-        rho,
-        h,
-        obs,
-        tuple(schedule[i - 1] for i in measured),
-        frozenset(measured.index(i) + 1 for i in dephase_at),
-        config.clumsiness,
-        config.uses_ancilla,
-    ).values()
-    if config.shots > 0:
-        partials = [_sample_partial(p, config.shots, next_seed()) for p in partials]
-    return replace(assemble_inrm(partials), slot_times=measured)
 
 
 # ---------------------------------------------------------------------------

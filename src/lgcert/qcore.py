@@ -382,14 +382,18 @@ class ClumsinessModel:
 # ---------------------------------------------------------------------------
 
 
-def unitary_for(h: Hamiltonian, t: float) -> np.ndarray:
-    """exp(-i H t) from the Hamiltonian's cached eigendecomposition."""
-    t = float(t)
-    if not np.isfinite(t):
+def unitary_for(h: Hamiltonian, t: float | Sequence[float]) -> np.ndarray:
+    """exp(-i H t) from the Hamiltonian's cached eigendecomposition.
+
+    For a 1-D array of times the result is the (R, d, d) stack of their
+    unitaries, all phases from one vectorised exp over the cached spectrum.
+    """
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
         raise ValidationError("evolution time must be finite")
     eigvals, eigvecs = h.spectrum
-    phases = np.exp(-1j * eigvals * t)
-    return (eigvecs * phases) @ eigvecs.conj().T
+    phases = np.exp(-1j * eigvals * t[..., None])
+    return (eigvecs * phases[..., None, :]) @ eigvecs.conj().T
 
 
 def evolve_matrix(m: np.ndarray, h: Hamiltonian, t: float) -> np.ndarray:

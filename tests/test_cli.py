@@ -244,6 +244,43 @@ class TestSweep:
         with pytest.raises(ScenarioError, match="values"):
             load_sweep(path)
 
+    def test_non_numeric_gap_becomes_error_row(self, tmp_path):
+        sweep_path = write_json(
+            tmp_path,
+            "sweep.json",
+            {"scenario": lg3_scenario(), "parameter": "schedule.gap", "values": [np.pi / 3, "abc"]},
+        )
+        out_path = tmp_path / "sweep.csv"
+        assert main(["sweep", sweep_path, "--out", str(out_path)]) == 1  # the pi/3 row violates
+        lines = out_path.read_text(encoding="utf-8").strip().split("\n")
+        assert len(lines) == 3
+        assert lines[2].startswith("abc,") and "schedule.gap" in lines[2]
+        rows = run_sweep(load_sweep(sweep_path))
+        assert rows[0]["verdict"] == "violations"
+        assert rows[1]["verdict"] == "error" and rows[1]["error"].startswith("schedule.gap: ")
+
+    @pytest.mark.parametrize(
+        "parameter, value, field",
+        [
+            ("checks", 5, "checks: "),
+            ("protocol", "projective", "protocol: "),
+            ("protocol.clumsiness", "none", "protocol.clumsiness: "),
+        ],
+    )
+    def test_wrongly_typed_value_becomes_error_row(self, parameter, value, field):
+        spec = SweepSpec(template=lg3_scenario(), parameter=parameter, values=(value,))
+        (row,) = run_sweep(spec)
+        assert row["verdict"] == "error" and row["error"].startswith(field)
+
+    def test_non_list_values_exit_two(self, tmp_path, capsys):
+        sweep_path = write_json(
+            tmp_path, "sweep.json", {"scenario": lg3_scenario(), "parameter": "schedule.gap", "values": 5}
+        )
+        assert main(["sweep", sweep_path]) == 2
+        assert capsys.readouterr().err == "error: sweep: 'values' must be a non-empty list\n"
+        assert main(["sweep", write_json(tmp_path, "number.json", 5)]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
 
 class TestMainEntryPoint:
     def test_certify_exit_codes_and_output(self, tmp_path, capsys):

@@ -11,9 +11,12 @@ The certify scenarios cover the README precession with all nine checks
 ``inrm`` run, a d=4 ``inrm_dephased`` run at 10^4 shots and a d=4 run with a
 ``unitary_kick`` clumsiness channel.  The d=2 ancilla case matters: there
 the ancilla circuit and plain dephasing differ in the last bit, so routing
-the blind mode through ``dephase`` changes its report.  The sweep is a d=2
+the blind mode through ``dephase`` changes its report.  The sweeps are a d=2
 ``inrm`` gap sweep at 1000 shots with one negative gap that must come back
-as an error row.
+as an error row, a d=4 ``ancilla_blind`` clumsiness-strength sweep from 0.0
+with one out-of-range strength, and a d=16 ``inrm_dephased`` gap sweep with
+one negative gap; their rows run as batches, so these pin the batched rows
+to the bytes that rows run one at a time produced.
 """
 
 from __future__ import annotations
