@@ -96,9 +96,16 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A sweep: the template dict, the dotted parameter path and the values.
+
+    ``scenario`` is the template already parsed, as ``load_sweep`` leaves
+    it; when it is ``None``, ``run_sweep`` parses the template itself.
+    """
+
     template: Mapping[str, Any]
     parameter: str
     values: tuple[Any, ...]
+    scenario: Scenario | None = field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +276,8 @@ def scenario_from_dict(data: Mapping[str, Any], template: Scenario | None = None
         seed = int(data.get("seed", 0))
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"seed: {exc}") from exc
+    if seed < 0:
+        raise ScenarioError(f"seed: must be a non-negative integer, got {seed}")
 
     return Scenario(
         dimension=dim,
@@ -319,8 +328,10 @@ def load_sweep(path: str | Path) -> SweepSpec:
     values = data.get("values")
     if not isinstance(values, list) or not values:
         raise ScenarioError("sweep: 'values' must be a non-empty list")
-    scenario_from_dict(data["scenario"])  # validate the template eagerly
-    return SweepSpec(template=data["scenario"], parameter=parameter, values=tuple(values))
+    template = scenario_from_dict(data["scenario"])  # validated eagerly, parsed once
+    return SweepSpec(
+        template=data["scenario"], parameter=parameter, values=tuple(values), scenario=template
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +424,13 @@ class _RowSet:
     kernel call for itself and every later row with the same batch
     signature, and keeps the later rows' exact probabilities, one (R, N)
     array per call, until each row asks for them.
+
+    It also owns finite-shot seeding.  Per scenario seed it keeps one
+    ``SeedSequence`` root, spawned one child at a time, and the child seeds
+    drawn so far; per child seed, the initial state of its PCG64 stream.
+    Rows that share a seed (all rows of a sweep, unless the seed is swept)
+    therefore spawn and seed each child once.  The caches live as long as
+    the row set, which is one ``run_certification`` or ``run_sweep`` call.
     """
 
     def __init__(self, scenarios: Sequence[Scenario | str]):
@@ -421,6 +439,9 @@ class _RowSet:
             _batch_signature(s) if isinstance(s, Scenario) else None for s in self.scenarios
         ]
         self._pending: dict[tuple, tuple[list[tuple[int, ...]], np.ndarray]] = {}
+        self._children: dict[int, tuple[np.random.SeedSequence, list[int]]] = {}
+        self._states: dict[int, dict] = {}
+        self._rng: np.random.Generator | None = None
 
     def scenario(self, row: int) -> Scenario:
         s = self.scenarios[row]
@@ -459,12 +480,39 @@ class _RowSet:
             self._pending[(j, request)] = (outcomes, raw[position])
         return outcomes, raw[0]
 
+    def generator(self, seed: int, index: int) -> np.random.Generator:
+        """A generator at the start of the stream of ``seed``'s ``index``-th child seed.
+
+        The stream is ``np.random.default_rng(child)`` for the child seed
+        ``SeedSequence(seed).spawn(index + 1)[index]`` reduces to.  A stream
+        seen before is restored into one shared generator from its cached
+        initial state, so the generator returned is valid until the next call.
+        """
+        entry = self._children.get(seed)
+        if entry is None:
+            entry = self._children[seed] = (np.random.SeedSequence(seed), [])
+        root, children = entry
+        while len(children) <= index:
+            children.append(int(root.spawn(1)[0].generate_state(1)[0]))
+        child = children[index]
+        state = self._states.get(child)
+        if state is None:
+            bits = np.random.PCG64(child)
+            self._states[child] = bits.state
+            rng = np.random.Generator(bits)
+            if self._rng is None:
+                self._rng = rng
+            return rng
+        self._rng.bit_generator.state = state
+        return self._rng
+
 
 class _ExperimentRunner:
     """Runs and caches the independent experiments one row's scenario needs.
 
     Every sampled experiment draws its own child seed from the scenario seed
-    in execution order, so identical scenarios reproduce byte-identical
+    in execution order (the runner keeps only the draw index; the row set
+    spawns and seeds), so identical scenarios reproduce byte-identical
     reports, whether the row runs alone or within a sweep.
     """
 
@@ -476,10 +524,12 @@ class _ExperimentRunner:
         # Exact probabilities per (measured, mechanism, clean): experiments
         # under different keys (a moment's and the NSIT pair's) may share one.
         self._exact: dict[tuple, tuple[list[tuple[int, ...]], np.ndarray]] = {}
-        self._seed_root = np.random.SeedSequence(self.s.seed)
+        self._draws = 0
 
-    def _next_seed(self) -> int:
-        return int(self._seed_root.spawn(1)[0].generate_state(1)[0])
+    def _next_generator(self) -> np.random.Generator:
+        rng = self.rows.generator(self.s.seed, self._draws)
+        self._draws += 1
+        return rng
 
     def experiment(
         self,
@@ -517,7 +567,7 @@ class _ExperimentRunner:
         # Detectors sit at the measured times; every INRM configuration draws
         # its own child seed.
         table = _experiment_table(
-            outcomes, raw, [s.observable] * len(s.schedule), measured, config, self._next_seed
+            outcomes, raw, [s.observable] * len(s.schedule), measured, config, self._next_generator
         )
         self.tables[key] = table
         return table
@@ -688,21 +738,26 @@ def _sweep_row(rows: _RowSet, row: int, value) -> dict:
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate the scenario at every swept value; one row per value, in sweep order.
 
-    The template is parsed once.  Each row copies only the dicts along the
-    swept path and reuses the template's parsed state, Hamiltonian and
-    observable wherever its subtree is the template's own, so a
-    ``schedule.gap`` or clumsiness-strength sweep shares one
-    eigendecomposition.  Rows that differ only in schedule times or
-    clumsiness strength run each experiment in one kernel call, filled by the
-    first row that asks; sampling, child seeds and checks stay per row, so
+    The template is parsed once: ``spec.scenario`` when ``load_sweep`` has
+    parsed it already.  Each row copies only the dicts along the swept path
+    and reuses the template's parsed state, Hamiltonian and observable
+    wherever its subtree is the template's own, so a ``schedule.gap`` or
+    clumsiness-strength sweep shares one eigendecomposition.  Rows that
+    differ only in schedule times or clumsiness strength run each experiment
+    in one kernel call, filled by the first row that asks.  Rows that share
+    a seed share its child seeds and their generator states: each child is
+    spawned and seeded once per sweep, and each row's draws restore those
+    states in the row's own order.  Sampling and checks stay per row, so
     every row equals ``run_certification`` on its own scenario.  A row that
     fails, including one whose value is malformed, carries its error message
     in the ``error`` field and the sweep continues.
     """
-    try:
-        template = scenario_from_dict(spec.template)
-    except ValidationError:
-        template = None  # the rows may still be valid; each one reports its own errors
+    template = spec.scenario
+    if template is None:
+        try:
+            template = scenario_from_dict(spec.template)
+        except ValidationError:
+            template = None  # the rows may still be valid; each one reports its own errors
     scenarios: list[Scenario | str] = []
     for value in spec.values:
         try:
@@ -769,7 +824,7 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         data["shots"] = args.shots
     if args.seed is not None:
         data["seed"] = args.seed
-    return scenario_from_dict(data)
+    return scenario_from_dict(data, template=scenario)
 
 
 @functools.cache
@@ -826,13 +881,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         # sweep
         spec = load_sweep(args.sweep)
-        if args.shots is not None or args.seed is not None:
-            template = dict(spec.template)
-            if args.shots is not None:
-                template["shots"] = args.shots
-            if args.seed is not None:
-                template["seed"] = args.seed
-            spec = SweepSpec(template=template, parameter=spec.parameter, values=spec.values)
+        template = _apply_overrides(spec.scenario, args)
+        if template is not spec.scenario:
+            spec = SweepSpec(template.raw, spec.parameter, spec.values, scenario=template)
         rows = run_sweep(spec)
         fmt = args.format or "csv"
         if fmt == "csv":

@@ -20,7 +20,9 @@ is one row.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -159,6 +161,12 @@ def _outcome_key(outcome: tuple[int, ...]) -> str:
     return ",".join(_format_label(v) for v in outcome)
 
 
+@functools.lru_cache(maxsize=256)
+def _outcome_product(slots: tuple[tuple[int, ...], ...]) -> frozenset[tuple[int, ...]]:
+    """Every outcome tuple of the given slots; tables of one experiment share their slots."""
+    return frozenset(itertools.product(*slots))
+
+
 @dataclass(frozen=True)
 class OutcomeTable:
     """Probability distribution over outcome tuples of a measurement run.
@@ -179,19 +187,19 @@ class OutcomeTable:
     def __post_init__(self):
         if self.kind not in ("exact", "empirical"):
             raise ValidationError(f"table kind must be 'exact' or 'empirical', got {self.kind!r}")
-        slots = tuple(tuple(int(v) for v in slot) for slot in self.slots)
+        slots = tuple(tuple(map(int, slot)) for slot in self.slots)
         if not slots or any(len(s) < 2 for s in slots):
             raise ValidationError("each slot needs at least two outcome labels")
-        expected = set(itertools.product(*slots))
-        probs = {tuple(int(v) for v in k): float(p) for k, p in dict(self.probabilities).items()}
-        if set(probs) != expected:
+        expected = _outcome_product(slots)
+        probs = {tuple(map(int, k)): float(p) for k, p in dict(self.probabilities).items()}
+        if probs.keys() != expected:
             missing = sorted(expected - set(probs))
             extra = sorted(set(probs) - expected)
             raise ValidationError(
                 f"probabilities must cover exactly the outcome product (missing {missing[:4]}, extra {extra[:4]})"
             )
         for k, p in probs.items():
-            if not np.isfinite(p) or p < -ENTRY_TOL or p > 1.0 + ENTRY_TOL:
+            if not math.isfinite(p) or p < -ENTRY_TOL or p > 1.0 + ENTRY_TOL:
                 raise ValidationError(f"probability for {k} out of range: {p!r}")
         if self.kind == "exact":
             total = sum(probs.values())
@@ -495,27 +503,44 @@ def _experiment_table(
     observables: Sequence[Observable],
     measured: tuple[int, ...],
     config: ProtocolConfig,
-    next_seed: Callable[[], int] | None = None,
+    next_generator: Callable[[], np.random.Generator] | None = None,
 ) -> OutcomeTable:
     """One row's table from its ``_experiment_probabilities`` output.
 
-    INRM modes assemble the table from every detector configuration.  With
-    ``config.shots > 0`` the table is sampled with seeds drawn from
-    ``next_seed``: one for a directly sampled table, one per INRM
-    configuration in couplings product order.
+    INRM modes build the table from every detector configuration: each one
+    is cleaned (and sampled) straight from the kernel's output and merged in
+    couplings product order, which gives the entries, in the same order, of
+    ``assemble_inrm`` over the configurations' partials, and only the merged
+    table is validated.  With ``config.shots > 0`` the table is sampled with
+    generators drawn from ``next_generator``: one for a directly sampled
+    table, one per INRM configuration in couplings product order.
     """
     probs = dict(zip(outcomes, raw.tolist()))
-    if _is_inrm(config, measured):
-        partials = _inrm_partials(probs, observables[measured[0] - 1], len(measured)).values()
-        if config.shots > 0:
-            partials = [_sample_partial(p, config.shots, next_seed()) for p in partials]
-        return replace(assemble_inrm(partials), slot_times=measured)
-    table = OutcomeTable(
-        slots=tuple(tuple(observables[i - 1].outcomes) for i in measured),
-        probabilities=_clean_probs(probs),
+    if not _is_inrm(config, measured):
+        table = OutcomeTable(
+            slots=tuple(tuple(observables[i - 1].outcomes) for i in measured),
+            probabilities=_clean_probs(probs),
+            slot_times=measured,
+        )
+        return sample_counts(table, config.shots, next_generator()) if config.shots > 0 else table
+    labels = observables[measured[0] - 1].outcomes
+    sampled = config.shots > 0
+    merged: dict[tuple[int, ...], float] = {}
+    # survivor prefixes in this order are the couplings (1, -1)^(m-1) in product order
+    for survivors in itertools.product((-1, 1), repeat=len(measured) - 1):
+        entries = _surviving(probs, survivors, labels)
+        if sampled:
+            entries, _ = _sample_surviving(
+                entries, 1.0 - sum(entries.values()), config.shots, next_generator()
+            )
+        merged.update(entries)
+    return OutcomeTable(
+        slots=tuple(tuple(labels) for _ in measured),
+        probabilities=merged,
+        kind="empirical" if sampled else "exact",
+        shots=config.shots if sampled else None,
         slot_times=measured,
     )
-    return sample_counts(table, config.shots, next_seed()) if config.shots > 0 else table
 
 
 def inrm_distribution(
@@ -553,43 +578,50 @@ def inrm_distribution(
         rho, h, [q] * m, [schedule.times], range(1, m + 1), dephase_at, [config.clumsiness],
         config.uses_ancilla, trace_last=True,
     )
-    partial = _inrm_partials(dict(zip(outcomes, raw[0].tolist())), q, m)[couplings]
+    probs = _surviving(
+        dict(zip(outcomes, raw[0].tolist())), tuple(-c for c in couplings), q.outcomes
+    )
+    partial = InrmPartial(
+        tuple(tuple(q.outcomes) for _ in range(m)), couplings, probs, 1.0 - sum(probs.values())
+    )
     if config.shots > 0:
         return _sample_partial(partial, config.shots, seed)
     return partial
 
 
-def _inrm_partials(
-    raw: Mapping[tuple[int, ...], float], q: DichotomicObservable, m: int
-) -> dict[tuple[int, ...], InrmPartial]:
-    """Exact partials of every detector configuration, keyed by couplings in product order.
+def _surviving(
+    raw: Mapping[tuple[int, ...], float], survivors: tuple[int, ...], labels: Sequence[int]
+) -> dict[tuple[int, ...], float]:
+    """Exact surviving entries of the detector configuration that couples to ``-survivors``.
 
-    ``raw`` is one kernel run over m times that branches on the outcome at
-    each detector time and reads the last one as a trace: the branch with
-    prefix ``survivors`` is the surviving run of the configuration that
-    couples to ``-survivors``.
+    ``raw`` is one kernel run over the detector times and the final time
+    that branches on the outcome at each detector time and reads the last
+    one as a trace: the branch with prefix ``survivors`` is that
+    configuration's surviving run.
     """
-    slots = tuple(tuple(q.outcomes) for _ in range(m))
-    partials = {}
-    for couplings in itertools.product((1, -1), repeat=m - 1):
-        survivors = tuple(-c for c in couplings)
-        probs = _clean_probs({survivors + (s,): raw[survivors + (s,)] for s in q.outcomes})
-        partials[couplings] = InrmPartial(slots, couplings, probs, 1.0 - sum(probs.values()))
-    return partials
+    return _clean_probs({survivors + (s,): raw[survivors + (s,)] for s in labels})
+
+
+def _sample_surviving(
+    probs: Mapping[tuple[int, ...], float], discarded: float, shots: int, rng: np.random.Generator
+) -> tuple[dict[tuple[int, ...], float], float]:
+    """Multinomial emulation of one configuration: surviving frequencies and the discarded one."""
+    keys = sorted(probs)
+    pvals = [min(1.0, max(0.0, probs[k])) for k in keys] + [max(0.0, discarded)]
+    freqs = _frequencies(pvals, shots, rng)
+    return dict(zip(keys, freqs)), freqs[-1]
 
 
 def _sample_partial(partial: InrmPartial, shots: int, seed: int) -> InrmPartial:
     """Multinomial emulation of one configuration: surviving outcomes plus the discard."""
-    probs = partial.probabilities
-    keys = sorted(probs)
-    pvals = np.array([min(1.0, max(0.0, probs[k])) for k in keys] + [max(0.0, partial.discarded)])
-    pvals = pvals / pvals.sum()
-    counts = np.random.default_rng(seed).multinomial(shots, pvals)
+    probs, discarded = _sample_surviving(
+        partial.probabilities, partial.discarded, shots, _generator(seed)
+    )
     return InrmPartial(
         slots=partial.slots,
         couplings=partial.couplings,
-        probabilities={k: counts[i] / shots for i, k in enumerate(keys)},
-        discarded=counts[-1] / shots,
+        probabilities=probs,
+        discarded=discarded,
         kind="empirical",
         shots=shots,
     )
@@ -728,19 +760,42 @@ def marginal_distribution(table: OutcomeTable, keep: Sequence[int]) -> OutcomeTa
     )
 
 
-def sample_counts(table: OutcomeTable, shots: int, seed: int) -> OutcomeTable:
-    """Multinomial finite-shot emulation; entries are exact rationals counts/shots."""
+def _generator(seed: int | np.random.Generator) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` without its dispatch; a generator is used as it stands."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def _frequencies(pvals: Sequence[float], shots: int, rng: np.random.Generator) -> list[float]:
+    """counts/shots of one multinomial draw over the weights ``pvals``, normalised to sum 1.
+
+    The one sampling step: ``sample_counts`` and every INRM configuration
+    draw through it.
+    """
+    pvals = np.array(pvals, dtype=float)
+    total = pvals.sum()
+    if total <= 0:
+        raise ValidationError("table has no probability mass to sample")
+    return (rng.multinomial(shots, pvals / total) / shots).tolist()
+
+
+def sample_counts(
+    table: OutcomeTable, shots: int, seed: int | np.random.Generator
+) -> OutcomeTable:
+    """Multinomial finite-shot emulation; entries are exact rationals counts/shots.
+
+    ``seed`` is an integer seed, drawn from exactly as
+    ``np.random.default_rng(seed)`` would, or a generator drawn from as it
+    stands.  The CLI passes a generator whose state it restored from the
+    cached initial state of an experiment's child seed, which is the same
+    stream as ``np.random.default_rng(child_seed)``.
+    """
     shots = int(shots)
     if shots < 1:
         raise ValidationError("shots must be >= 1")
     keys = sorted(table.probabilities)
-    pvals = np.array([table.prob(k) for k in keys], dtype=float)
-    total = pvals.sum()
-    if total <= 0:
-        raise ValidationError("table has no probability mass to sample")
-    pvals = pvals / total
-    counts = np.random.default_rng(seed).multinomial(shots, pvals)
-    probs = {k: counts[i] / shots for i, k in enumerate(keys)}
+    probs = dict(zip(keys, _frequencies([table.prob(k) for k in keys], shots, _generator(seed))))
     return OutcomeTable(
         slots=table.slots,
         probabilities=probs,

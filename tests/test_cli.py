@@ -1,11 +1,14 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
+import lgcert.cli as cli
 from lgcert.cli import (
     ScenarioError,
     SweepSpec,
+    _apply_overrides,
     load_scenario,
     load_sweep,
     main,
@@ -14,6 +17,7 @@ from lgcert.cli import (
     scenario_from_dict,
     sweep_to_csv,
 )
+from lgcert.qcore import matrix_to_json
 
 
 def lg3_scenario(**overrides):
@@ -347,3 +351,89 @@ class TestMainEntryPoint:
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["certify", "/nonexistent/scenario.json"]) == 2
+
+
+class TestParseOnce:
+    """Parsing happens once per scenario: sweep templates and overridden scenarios reuse it."""
+
+    @staticmethod
+    def matrix_scenario():
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        return lg3_scenario(
+            hamiltonian=matrix_to_json((a + a.conj().T) / 2),
+            initial_state=matrix_to_json(np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)),
+            checks=["LG3", "NSIT"],
+        )
+
+    def test_sweep_parses_template_once(self, tmp_path, monkeypatch):
+        calls = []
+        parse = cli.scenario_from_dict
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "scenario_from_dict", counted)
+        values = [np.pi / 6, np.pi / 3, 0.9, -0.4]
+        path = write_json(
+            tmp_path, "sweep.json",
+            {"scenario": lg3_scenario(), "parameter": "schedule.gap", "values": values},
+        )
+        main(["sweep", path, "--out", str(tmp_path / "sweep.csv")])
+        assert len(calls) == len(values) + 1
+
+    def test_invalid_sweep_template_exits_two(self, tmp_path, capsys):
+        path = write_json(
+            tmp_path, "sweep.json",
+            {"scenario": lg3_scenario(schedule=[2.0, 1.0, 3.0]), "parameter": "seed", "values": [1]},
+        )
+        assert main(["sweep", path]) == 2
+        assert capsys.readouterr().err == (
+            "error: schedule: schedule times must be strictly increasing, got 2.0 then 1.0\n"
+        )
+
+    def test_overrides_reuse_parsed_matrices(self, tmp_path):
+        data = self.matrix_scenario()
+        scenario = scenario_from_dict(data)
+        overridden = _apply_overrides(scenario, argparse.Namespace(shots=1000, seed=5))
+        assert overridden.hamiltonian is scenario.hamiltonian
+        assert overridden.initial_state is scenario.initial_state
+        assert overridden.observable is scenario.observable
+        assert (overridden.shots, overridden.seed) == (1000, 5)
+
+        # the bytes equal those of a file that sets shots and seed itself
+        flags = write_json(tmp_path, "flags.json", data)
+        inline = write_json(tmp_path, "inline.json", dict(data, shots=1000, seed=5))
+        main(["certify", flags, "--shots", "1000", "--seed", "5", "--out", str(tmp_path / "a.json")])
+        main(["certify", inline, "--out", str(tmp_path / "b.json")])
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        sweep = {"parameter": "schedule.gap", "values": [0.3, 0.7]}
+        flags = write_json(tmp_path, "flags_sweep.json", dict(sweep, scenario=data))
+        inline = write_json(
+            tmp_path, "inline_sweep.json", dict(sweep, scenario=dict(data, shots=1000, seed=5))
+        )
+        main(["sweep", flags, "--shots", "1000", "--seed", "5", "--out", str(tmp_path / "a.csv")])
+        main(["sweep", inline, "--out", str(tmp_path / "b.csv")])
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        with pytest.raises(ScenarioError, match="seed"):
+            scenario_from_dict(lg3_scenario(seed=-1))
+        path = write_json(tmp_path, "lg3.json", lg3_scenario())
+        assert main(["certify", path, "--shots", "100", "--seed", "-3"]) == 2
+        assert "seed" in capsys.readouterr().err
+        sweep = write_json(
+            tmp_path, "sweep.json",
+            {"scenario": lg3_scenario(shots=100), "parameter": "seed", "values": [4, -1]},
+        )
+        rows = run_sweep(load_sweep(sweep))
+        assert rows[0]["error"] == "" and rows[1]["error"].startswith("seed:")
+
+    def test_invalid_sweep_override_exits_two(self, tmp_path, capsys):
+        path = write_json(
+            tmp_path, "sweep.json",
+            {"scenario": lg3_scenario(), "parameter": "schedule.gap", "values": [0.5]},
+        )
+        assert main(["sweep", path, "--shots", "-1"]) == 2
+        assert "shots must be non-negative" in capsys.readouterr().err

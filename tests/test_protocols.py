@@ -100,6 +100,29 @@ class TestOutcomeTable:
         with pytest.raises(ValidationError, match="sum"):
             OutcomeTable(slots=((1, -1),), probabilities={(1,): 0.6, (-1,): 0.6})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_entry(self, bad):
+        with pytest.raises(ValidationError, match="range"):
+            OutcomeTable(slots=((1, -1),), probabilities={(1,): 1.0, (-1,): bad}, kind="empirical")
+
+    def test_rejects_extra_outcome(self):
+        with pytest.raises(ValidationError, match=r"extra \[\(2,\)\]"):
+            OutcomeTable(slots=((1, -1),), probabilities={(1,): 0.5, (-1,): 0.5, (2,): 0.0})
+
+    def test_empirical_shots_must_be_positive(self):
+        with pytest.raises(ValidationError, match="shots"):
+            OutcomeTable(
+                slots=((1, -1),), probabilities={(1,): 0.5, (-1,): 0.5}, kind="empirical", shots=0
+            )
+
+    def test_slot_times_length_must_match(self):
+        with pytest.raises(ValidationError, match="slot_times"):
+            OutcomeTable(slots=((1, -1),), probabilities={(1,): 0.5, (-1,): 0.5}, slot_times=(1, 2))
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValidationError, match="kind"):
+            OutcomeTable(slots=((1, -1),), probabilities={(1,): 0.5, (-1,): 0.5}, kind="estimated")
+
     def test_prob_clamps_on_read(self):
         t = OutcomeTable(slots=((1, -1),), probabilities={(1,): 1.0 + 5e-13, (-1,): -5e-13})
         assert t.prob((1,)) == 1.0

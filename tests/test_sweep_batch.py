@@ -6,7 +6,8 @@ rows in one kernel call.  None of that may show in the results: every row
 must equal ``run_certification`` on a scenario built for that row alone,
 with margins equal bit for bit, the same verdict and the same error string.
 The sweeps cover equal-gap and clumsiness-strength sweeps at d = 2, 4 and
-16, finite shots, a trivial clumsiness strength that splits the rows into
+16, finite shots, seed and shot-count sweeps whose rows share some seeds
+and not others, a trivial clumsiness strength that splits the rows into
 two kernel groups, unitary kicks, rows that share nothing (a mode sweep), a
 dimension sweep over presets, which must not reuse the template's parsed
 objects, and a template that is invalid while its rows are valid.
@@ -60,6 +61,13 @@ def with_protocol(template, **protocol):
     return dict(template, protocol=dict(template["protocol"], **protocol))
 
 
+# Finite-shot rows share child seeds and generator states within a sweep unless
+# their seeds differ: the seed sweep repeats some seeds and changes others.
+D2_INRM_SHOTS = dict(
+    with_protocol(README_SCENARIO, mode="inrm", clumsiness={"kind": "depolarizing", "strength": 0.05}),
+    shots=1000, seed=7,
+)
+
 KICK = {"kind": "unitary_kick", "strength": 0.2, "generator": matrix_to_json(
     random_hermitian(np.random.default_rng(5), 4))}
 
@@ -77,6 +85,8 @@ SWEEPS = {
              shots=1000, seed=7),
         "schedule.gap", [0.6, 0.45, -1.2, 1.1, 0.2, 0.6],
     ),
+    "d2-inrm-seed": (D2_INRM_SHOTS, "seed", [7, 3, 7, 11, 3, 7]),
+    "d2-inrm-shots": (D2_INRM_SHOTS, "shots", [1000, 250, 1000, 4000, 250]),
     "d16-gap": (
         random_template(2, 16, "inrm_dephased", ["LG3", "NSIT", "NSIT3"]),
         "schedule.gap", [0.3, 0.55, 0.8, -0.1, 1.25],
