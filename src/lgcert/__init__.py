@@ -3,9 +3,10 @@
 ``qcore`` holds the exact linear algebra (states, observables, evolution,
 channels), ``protocols`` simulates the measurement protocols (sequential,
 ideal negative measurement, the modified dephased/ancilla-blind variants,
-finite-shot sampling), ``macrocert`` evaluates every macrorealism condition
-(Leggett-Garg inequalities, NSIT witnesses, higher-order candidates,
-feasibility), and ``cli`` orchestrates scenarios, sweeps and reports.
+finite-shot sampling) and runs every experiment on one orchestration path,
+``macrocert`` evaluates every macrorealism condition (Leggett-Garg
+inequalities, NSIT witnesses, higher-order candidates, feasibility) from one
+check registry, and ``cli`` parses scenarios and sweeps and emits reports.
 """
 
 from .qcore import (

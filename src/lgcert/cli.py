@@ -1,11 +1,12 @@
-"""Scenario ingestion, experiment orchestration, and report emission.
+"""Scenario ingestion, sweeps, and report emission.
 
 A scenario JSON file declares the system (state, Hamiltonian, observable),
 the measurement schedule, the protocol configuration, and the macrorealism
 checks to run.  Each moment entering a check is measured in its own
 experiment with a fresh initial state, exactly as the certification protocol
 demands; an opt-in flag derives lower moments from one sequential table for
-comparison studies instead.
+comparison studies instead.  Experiments and checks run on the one path
+that the library entry points share (``protocols`` and ``macrocert``).
 
 Exit codes: 0 = ran with every check satisfied, 1 = ran with violations (the
 interesting physics case), 2 = input or validation error.
@@ -21,8 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-import numpy as np
-
 from .qcore import (
     ClumsinessModel,
     DensityOperator,
@@ -34,28 +33,15 @@ from .qcore import (
     matrix_from_json,
 )
 from .protocols import (
-    OutcomeTable,
     ProtocolConfig,
+    Scenario,
+    ScenarioError,
     Schedule,
-    _experiment_probabilities,
-    _experiment_table,
+    _RowSet,
+    _times_name,
     table_to_json,
 )
-from . import macrocert
-from .macrocert import (
-    ConditionResult,
-    InequalityReport,
-    MomentSet,
-    WitnessReport,
-    candidate_probability,
-    check_lg2,
-    check_lg3,
-    check_lg4,
-    check_nonnegativity,
-    check_nsit,
-    moments_from_single_table,
-    moments_from_tables,
-)
+from .macrocert import _CHECKS, ConditionResult, WitnessReport, _certify
 
 __all__ = [
     "ScenarioError",
@@ -70,28 +56,9 @@ __all__ = [
     "main",
 ]
 
-KNOWN_CHECKS = ("LG2", "LG3", "LG4", "NSIT", "NSIT3", "NONNEG3", "NONNEG4", "MONO", "APPENDIX")
+KNOWN_CHECKS = tuple(_CHECKS)
 
 STATE_PRESETS = ("maximally_mixed", "ground", "plus_x")
-
-
-class ScenarioError(ValidationError):
-    """A scenario or sweep file failed validation; the message names the field."""
-
-
-@dataclass(frozen=True)
-class Scenario:
-    dimension: int
-    initial_state: DensityOperator
-    hamiltonian: Hamiltonian
-    observable: Observable
-    schedule: Schedule
-    config: ProtocolConfig
-    checks: tuple[str, ...]
-    shots: int
-    seed: int
-    derive_lower_moments: bool = False
-    raw: Mapping[str, Any] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -113,76 +80,71 @@ class SweepSpec:
 # ---------------------------------------------------------------------------
 
 
-def _parse_state(spec, dim: int) -> DensityOperator:
+def _field(name: str, parse, *args):
+    """``parse(*args)``; an error it raises becomes a ``ScenarioError`` naming ``name``."""
     try:
-        if isinstance(spec, str):
-            if spec == "maximally_mixed":
-                return DensityOperator.maximally_mixed(dim)
-            if spec == "ground":
-                return DensityOperator.ground(dim)
-            if spec == "plus_x":
-                if dim != 2:
-                    raise ScenarioError("initial_state: preset 'plus_x' requires dimension 2")
-                return DensityOperator.plus_x()
-            raise ScenarioError(
-                f"initial_state: unknown preset {spec!r}; expected one of {STATE_PRESETS}"
-            )
-        mat = matrix_from_json(spec, "initial_state")
-        if mat.shape[0] != dim:
-            raise ScenarioError(
-                f"initial_state: matrix dimension {mat.shape[0]} does not match dimension {dim}"
-            )
-        return DensityOperator(mat)
+        return parse(*args)
     except ScenarioError:
         raise
-    except ValidationError as exc:
-        raise ScenarioError(f"initial_state: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:  # ValidationError is a ValueError
+        raise ScenarioError(f"{name}: {exc}") from exc
+
+
+def _parse_state(spec, dim: int) -> DensityOperator:
+    if isinstance(spec, str):
+        if spec == "maximally_mixed":
+            return DensityOperator.maximally_mixed(dim)
+        if spec == "ground":
+            return DensityOperator.ground(dim)
+        if spec == "plus_x":
+            if dim != 2:
+                raise ScenarioError("initial_state: preset 'plus_x' requires dimension 2")
+            return DensityOperator.plus_x()
+        raise ScenarioError(
+            f"initial_state: unknown preset {spec!r}; expected one of {STATE_PRESETS}"
+        )
+    mat = matrix_from_json(spec, "initial_state")
+    if mat.shape[0] != dim:
+        raise ScenarioError(
+            f"initial_state: matrix dimension {mat.shape[0]} does not match dimension {dim}"
+        )
+    return DensityOperator(mat)
 
 
 def _parse_hamiltonian(spec, dim: int) -> Hamiltonian:
-    try:
-        if isinstance(spec, Mapping) and "preset" in spec:
-            if spec["preset"] != "precession":
-                raise ScenarioError(f"hamiltonian: unknown preset {spec['preset']!r}")
-            if dim != 2:
-                raise ScenarioError("hamiltonian: preset 'precession' requires dimension 2")
-            return Hamiltonian.precession(float(spec.get("frequency", 1.0)))
-        mat = matrix_from_json(spec, "hamiltonian")
-        if mat.shape[0] != dim:
-            raise ScenarioError(
-                f"hamiltonian: matrix dimension {mat.shape[0]} does not match dimension {dim}"
-            )
-        return Hamiltonian(mat)
-    except ScenarioError:
-        raise
-    except (ValidationError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"hamiltonian: {exc}") from exc
+    if isinstance(spec, Mapping) and "preset" in spec:
+        if spec["preset"] != "precession":
+            raise ScenarioError(f"hamiltonian: unknown preset {spec['preset']!r}")
+        if dim != 2:
+            raise ScenarioError("hamiltonian: preset 'precession' requires dimension 2")
+        return Hamiltonian.precession(float(spec.get("frequency", 1.0)))
+    mat = matrix_from_json(spec, "hamiltonian")
+    if mat.shape[0] != dim:
+        raise ScenarioError(
+            f"hamiltonian: matrix dimension {mat.shape[0]} does not match dimension {dim}"
+        )
+    return Hamiltonian(mat)
 
 
 def _parse_observable(spec, dim: int) -> Observable:
-    try:
-        if isinstance(spec, str):
-            if spec != "sigma_z":
-                raise ScenarioError(f"observable: unknown preset {spec!r}")
-            if dim != 2:
-                raise ScenarioError("observable: preset 'sigma_z' requires dimension 2")
-            return DichotomicObservable.sigma_z()
-        if isinstance(spec, Mapping) and "projectors" in spec:
-            projs = tuple(
-                matrix_from_json(p, f"observable projector {i}")
-                for i, p in enumerate(spec["projectors"])
-            )
-            labels = tuple(int(x) for x in spec.get("labels", range(1, len(projs) + 1)))
-            obs: Observable = ManyValuedObservable(projs, labels)
-        else:
-            obs = DichotomicObservable(matrix_from_json(spec, "observable"))
-        if obs.dim != dim:
-            raise ScenarioError(f"observable: dimension {obs.dim} does not match dimension {dim}")
-        return obs
-    except ScenarioError:
-        raise
-    except (ValidationError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"observable: {exc}") from exc
+    if isinstance(spec, str):
+        if spec != "sigma_z":
+            raise ScenarioError(f"observable: unknown preset {spec!r}")
+        if dim != 2:
+            raise ScenarioError("observable: preset 'sigma_z' requires dimension 2")
+        return DichotomicObservable.sigma_z()
+    if isinstance(spec, Mapping) and "projectors" in spec:
+        projs = tuple(
+            matrix_from_json(p, f"observable projector {i}")
+            for i, p in enumerate(spec["projectors"])
+        )
+        labels = tuple(int(x) for x in spec.get("labels", range(1, len(projs) + 1)))
+        obs: Observable = ManyValuedObservable(projs, labels)
+    else:
+        obs = DichotomicObservable(matrix_from_json(spec, "observable"))
+    if obs.dim != dim:
+        raise ScenarioError(f"observable: dimension {obs.dim} does not match dimension {dim}")
+    return obs
 
 
 def _parse_clumsiness(spec) -> ClumsinessModel:
@@ -190,22 +152,17 @@ def _parse_clumsiness(spec) -> ClumsinessModel:
         return ClumsinessModel.none()
     if not isinstance(spec, Mapping):
         raise ScenarioError("protocol.clumsiness: must be a JSON object")
-    try:
-        kind = spec.get("kind", "none")
-        if kind == "none":
-            return ClumsinessModel.none()
-        if kind == "depolarizing":
-            return ClumsinessModel.depolarizing(float(spec["strength"]))
-        if kind == "unitary_kick":
-            return ClumsinessModel.unitary_kick(
-                float(spec["strength"]),
-                matrix_from_json(spec["generator"], "clumsiness generator"),
-            )
-        raise ScenarioError(f"protocol.clumsiness: unknown kind {kind!r}")
-    except ScenarioError:
-        raise
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
-        raise ScenarioError(f"protocol.clumsiness: {exc}") from exc
+    kind = spec.get("kind", "none")
+    if kind == "none":
+        return ClumsinessModel.none()
+    if kind == "depolarizing":
+        return ClumsinessModel.depolarizing(float(spec["strength"]))
+    if kind == "unitary_kick":
+        return ClumsinessModel.unitary_kick(
+            float(spec["strength"]),
+            matrix_from_json(spec["generator"], "clumsiness generator"),
+        )
+    raise ScenarioError(f"protocol.clumsiness: unknown kind {kind!r}")
 
 
 _ABSENT = object()
@@ -233,7 +190,7 @@ def scenario_from_dict(data: Mapping[str, Any], template: Scenario | None = None
         spec = data.get(name, _ABSENT)
         if template is not None and template.dimension == dim and spec is template.raw.get(name, _ABSENT):
             return getattr(template, name)
-        return parse(default if spec is _ABSENT else spec, dim)
+        return _field(name, parse, default if spec is _ABSENT else spec, dim)
 
     state = parsed("initial_state", _parse_state, "ground")
     h = parsed("hamiltonian", _parse_hamiltonian, {"preset": "precession"})
@@ -254,7 +211,7 @@ def scenario_from_dict(data: Mapping[str, Any], template: Scenario | None = None
         config = ProtocolConfig(
             mode=proto.get("mode", "projective"),
             dephase_times=tuple(proto["dephase_times"]) if proto.get("dephase_times") else None,
-            clumsiness=_parse_clumsiness(proto.get("clumsiness")),
+            clumsiness=_field("protocol.clumsiness", _parse_clumsiness, proto.get("clumsiness")),
             shots=shots,
         )
     except ScenarioError:
@@ -278,6 +235,9 @@ def scenario_from_dict(data: Mapping[str, Any], template: Scenario | None = None
         raise ScenarioError(f"seed: {exc}") from exc
     if seed < 0:
         raise ScenarioError(f"seed: must be a non-negative integer, got {seed}")
+    derive = data.get("derive_lower_moments", False)
+    if not isinstance(derive, bool):
+        raise ScenarioError(f"derive_lower_moments: must be true or false, got {derive!r}")
 
     return Scenario(
         dimension=dim,
@@ -289,35 +249,29 @@ def scenario_from_dict(data: Mapping[str, Any], template: Scenario | None = None
         checks=checks,
         shots=shots,
         seed=seed,
-        derive_lower_moments=bool(data.get("derive_lower_moments", False)),
+        derive_lower_moments=derive,
         raw=dict(data),
     )
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    """Read and validate a scenario JSON file."""
+def _read_json(path: str | Path, what: str) -> Any:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
+        raise ScenarioError(f"cannot read {what} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(
-            f"scenario file {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
+            f"{what} file {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
-    return scenario_from_dict(data)
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    """Read and validate a scenario JSON file."""
+    return scenario_from_dict(_read_json(path, "scenario"))
 
 
 def load_sweep(path: str | Path) -> SweepSpec:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ScenarioError(f"cannot read sweep file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(
-            f"sweep file {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
-        ) from exc
+    data = _read_json(path, "sweep")
     if not isinstance(data, dict):
         raise ScenarioError("sweep: the file must hold a JSON object")
     if "scenario" not in data:
@@ -335,333 +289,8 @@ def load_sweep(path: str | Path) -> SweepSpec:
 
 
 # ---------------------------------------------------------------------------
-# Experiment orchestration
+# Certification
 # ---------------------------------------------------------------------------
-
-_CHECK_MIN_TIMES = {
-    "LG2": 3,
-    "LG3": 3,
-    "LG4": 4,
-    "NONNEG3": 3,
-    "NONNEG4": 4,
-    "NSIT": 2,
-    "NSIT3": 3,
-    "MONO": 2,
-    "APPENDIX": 2,
-}
-
-_MOMENT_REQUIREMENTS = {
-    "LG3": [(1, 2), (2, 3), (1, 3)],
-    "LG2": [(1,), (2,), (3,), (1, 2), (2, 3), (1, 3)],
-    "LG4": [(1, 2), (2, 3), (3, 4), (1, 4)],
-    "NONNEG3": [(1,), (2,), (3,), (1, 2), (2, 3), (1, 3), (1, 2, 3)],
-    "NONNEG4": [
-        (1,), (2,), (3,), (4,),
-        (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
-        (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4),
-        (1, 2, 3, 4),
-    ],
-}
-
-
-def _times_name(times: Sequence[int]) -> str:
-    return "".join(str(i) for i in times)
-
-
-def _batch_signature(s: Scenario) -> tuple:
-    """What rows must share for one kernel call to serve them all.
-
-    Rows with equal signatures differ only in schedule times and clumsiness
-    strength.  The parsed state, Hamiltonian and observable count by
-    identity: sweep rows share the template's objects.  A kick generator's
-    shape is part of it so that a row with a mismatched generator fails on
-    its own.
-    """
-    c = s.config
-    generator = c.clumsiness.generator
-    return (
-        id(s.initial_state),
-        id(s.hamiltonian),
-        id(s.observable),
-        c.mode,
-        c.dephase_times,
-        len(s.schedule),
-        c.clumsiness.kind,
-        c.clumsiness.is_trivial,
-        None if generator is None else generator.shape,
-        s.shots,
-    )
-
-
-# Rows per kernel call are capped so that one call's final branch stack holds
-# at most this many complex entries (16 MB), unless a single row needs more.
-_BATCH_ENTRIES = 1 << 20
-
-
-def _experiment_config(
-    s: Scenario, measured: tuple[int, ...], mechanism: tuple[int, ...], clean: bool
-) -> ProtocolConfig:
-    """How one experiment of scenario ``s`` runs.
-
-    A single read-out has no INRM detectors, and a mechanism at a
-    non-detector time is not expressible with them; such experiments run the
-    entrywise-equal projective counterpart on the master schedule.
-    """
-    mode = s.config.mode
-    if mode in ("inrm", "inrm_dephased") and (
-        len(measured) < 2 or not set(mechanism) <= set(measured)
-    ):
-        mode = "projective" if mode == "inrm" else "projective_dephased"
-    clumsiness = ClumsinessModel.none() if clean else s.config.clumsiness
-    return ProtocolConfig(mode=mode, dephase_times=mechanism, clumsiness=clumsiness, shots=s.shots)
-
-
-class _RowSet:
-    """The parsed rows of a sweep, or the one row of a single certification.
-
-    ``scenarios`` holds each row's scenario, or the message of the error its
-    parsing raised.  The first row to ask for an experiment runs it in one
-    kernel call for itself and every later row with the same batch
-    signature, and keeps the later rows' exact probabilities, one (R, N)
-    array per call, until each row asks for them.
-
-    It also owns finite-shot seeding.  Per scenario seed it keeps one
-    ``SeedSequence`` root, spawned one child at a time, and the child seeds
-    drawn so far; per child seed, the initial state of its PCG64 stream.
-    Rows that share a seed (all rows of a sweep, unless the seed is swept)
-    therefore spawn and seed each child once.  The caches live as long as
-    the row set, which is one ``run_certification`` or ``run_sweep`` call.
-    """
-
-    def __init__(self, scenarios: Sequence[Scenario | str]):
-        self.scenarios = list(scenarios)
-        self._signatures = [
-            _batch_signature(s) if isinstance(s, Scenario) else None for s in self.scenarios
-        ]
-        self._pending: dict[tuple, tuple[list[tuple[int, ...]], np.ndarray]] = {}
-        self._children: dict[int, tuple[np.random.SeedSequence, list[int]]] = {}
-        self._states: dict[int, dict] = {}
-        self._rng: np.random.Generator | None = None
-
-    def scenario(self, row: int) -> Scenario:
-        s = self.scenarios[row]
-        if isinstance(s, str):
-            raise ScenarioError(s)
-        return s
-
-    def probabilities(
-        self, row: int, request: tuple, config: ProtocolConfig
-    ) -> tuple[list[tuple[int, ...]], np.ndarray]:
-        """Outcome tuples and one row's exact, unclamped probabilities for one experiment.
-
-        ``request`` is the experiment's ``(measured, mechanism, clean)`` and
-        ``config`` the row's ``_experiment_config`` for it.
-        """
-        ready = self._pending.pop((row, request), None)
-        if ready is not None:
-            return ready
-        measured, _, clean = request
-        s = self.scenarios[row]
-        signature = self._signatures[row]
-        group = [j for j in range(row, len(self.scenarios)) if self._signatures[j] == signature]
-        branches = len(s.observable.outcomes) ** len(measured)
-        group = group[: max(1, _BATCH_ENTRIES // (branches * s.dimension**2))]
-        rows = [self.scenarios[j] for j in group]
-        outcomes, raw = _experiment_probabilities(
-            s.initial_state,
-            s.hamiltonian,
-            [s.observable] * len(s.schedule),
-            [r.schedule for r in rows],
-            measured,
-            config,
-            [config.clumsiness if clean else r.config.clumsiness for r in rows],
-        )
-        for position, j in enumerate(group[1:], start=1):
-            self._pending[(j, request)] = (outcomes, raw[position])
-        return outcomes, raw[0]
-
-    def generator(self, seed: int, index: int) -> np.random.Generator:
-        """A generator at the start of the stream of ``seed``'s ``index``-th child seed.
-
-        The stream is ``np.random.default_rng(child)`` for the child seed
-        ``SeedSequence(seed).spawn(index + 1)[index]`` reduces to.  A stream
-        seen before is restored into one shared generator from its cached
-        initial state, so the generator returned is valid until the next call.
-        """
-        entry = self._children.get(seed)
-        if entry is None:
-            entry = self._children[seed] = (np.random.SeedSequence(seed), [])
-        root, children = entry
-        while len(children) <= index:
-            children.append(int(root.spawn(1)[0].generate_state(1)[0]))
-        child = children[index]
-        state = self._states.get(child)
-        if state is None:
-            bits = np.random.PCG64(child)
-            self._states[child] = bits.state
-            rng = np.random.Generator(bits)
-            if self._rng is None:
-                self._rng = rng
-            return rng
-        self._rng.bit_generator.state = state
-        return self._rng
-
-
-class _ExperimentRunner:
-    """Runs and caches the independent experiments one row's scenario needs.
-
-    Every sampled experiment draws its own child seed from the scenario seed
-    in execution order (the runner keeps only the draw index; the row set
-    spawns and seeds), so identical scenarios reproduce byte-identical
-    reports, whether the row runs alone or within a sweep.
-    """
-
-    def __init__(self, rows: _RowSet, row: int):
-        self.rows = rows
-        self.row = row
-        self.s = rows.scenario(row)
-        self.tables: dict[str, OutcomeTable] = {}
-        # Exact probabilities per (measured, mechanism, clean): experiments
-        # under different keys (a moment's and the NSIT pair's) may share one.
-        self._exact: dict[tuple, tuple[list[tuple[int, ...]], np.ndarray]] = {}
-        self._draws = 0
-
-    def _next_generator(self) -> np.random.Generator:
-        rng = self.rows.generator(self.s.seed, self._draws)
-        self._draws += 1
-        return rng
-
-    def experiment(
-        self,
-        measured: tuple[int, ...],
-        mechanism: tuple[int, ...] | None = None,
-        clean: bool = False,
-        key: str | None = None,
-    ) -> OutcomeTable:
-        """One independent experiment reading out the given schedule times.
-
-        ``mechanism`` (master 1-based times, default: the protocol's own
-        resolution) places the diagonalization; the scenario's clumsiness
-        channel is injected before the experiment's first measurement unless
-        ``clean``.
-        """
-        s = self.s
-        if mechanism is None:
-            mechanism = tuple(sorted(s.config.resolved_dephase_times(measured, len(s.schedule))))
-        if key is None:
-            key = _times_name(measured) + ("" if not mechanism else "_blind" + _times_name(mechanism))
-            if clean and not s.config.clumsiness.is_trivial:
-                key += "_clean"
-        if key in self.tables:
-            return self.tables[key]
-
-        config = _experiment_config(s, measured, mechanism, clean)
-        if config.mode in ("inrm", "inrm_dephased") and not isinstance(
-            s.observable, DichotomicObservable
-        ):
-            raise ScenarioError("protocol: INRM modes require a dichotomic observable")
-        request = (measured, mechanism, clean)
-        if request not in self._exact:
-            self._exact[request] = self.rows.probabilities(self.row, request, config)
-        outcomes, raw = self._exact[request]
-        # Detectors sit at the measured times; every INRM configuration draws
-        # its own child seed.
-        table = _experiment_table(
-            outcomes, raw, [s.observable] * len(s.schedule), measured, config, self._next_generator
-        )
-        self.tables[key] = table
-        return table
-
-    def nsit_pair(self) -> tuple[OutcomeTable, OutcomeTable]:
-        """The two-time NSIT experiment pair on the first two schedule times."""
-        s = self.s
-        mech = tuple(sorted(s.config.resolved_dephase_times((1, 2), len(s.schedule))))
-        pair = self.experiment((1, 2), mechanism=mech, key="nsit:12")
-        # The companion run makes no measurement at t1, so it carries no
-        # clumsiness; the diagonalization mechanism stays in place.
-        companion_key = "nsit:2" + ("" if not mech else "_blind" + _times_name(mech))
-        companion = self.experiment((2,), mechanism=mech, clean=True, key=companion_key)
-        return pair, companion
-
-
-def _certify(
-    rows: _RowSet, row: int
-) -> tuple[dict[str, OutcomeTable], MomentSet | None, list[ConditionResult], list[WitnessReport]]:
-    """Run every experiment one row's checks require; return tables, moments, conditions, witnesses."""
-    s = rows.scenario(row)
-    n_times = len(s.schedule)
-    for check in s.checks:
-        if n_times < _CHECK_MIN_TIMES[check]:
-            needed = _MOMENT_REQUIREMENTS.get(check)
-            detail = f" (missing experiments at times {needed})" if needed else ""
-            raise ScenarioError(
-                f"checks: {check} needs at least {_CHECK_MIN_TIMES[check]} schedule times, got {n_times}{detail}"
-            )
-
-    runner = _ExperimentRunner(rows, row)
-    moment_times: list[tuple[int, ...]] = []
-    for check in s.checks:
-        for times in _MOMENT_REQUIREMENTS.get(check, []):
-            if times not in moment_times:
-                moment_times.append(times)
-
-    moments: MomentSet | None = None
-    if moment_times:
-        if s.derive_lower_moments:
-            top = tuple(range(1, max(max(t) for t in moment_times) + 1))
-            full = runner.experiment(top)
-            moments = moments_from_single_table(full)
-        else:
-            sources = {times: runner.experiment(times) for times in sorted(moment_times)}
-            moments = moments_from_tables(sources, n=min(n_times, 4))
-
-    conditions: list[ConditionResult] = []
-    witnesses: list[WitnessReport] = []
-
-    def extend(report: InequalityReport) -> None:
-        conditions.extend(report.entries)
-
-    for check in s.checks:
-        if check == "LG3":
-            extend(check_lg3(moments))
-        elif check == "LG2":
-            extend(check_lg2(moments))
-        elif check == "LG4":
-            extend(check_lg4(moments))
-        elif check in ("NONNEG3", "NONNEG4"):
-            n = 3 if check == "NONNEG3" else 4
-            sub = MomentSet(
-                n=n,
-                values={k: v for k, v in moments.values.items() if max(k) <= n},
-                variances={k: v for k, v in moments.variances.items() if max(k) <= n},
-            )
-            extend(check_nonnegativity(candidate_probability(sub)))
-        elif check == "NSIT":
-            pair, companion = runner.nsit_pair()
-            witnesses.append(check_nsit(pair, companion, (1,), condition="NSIT-(2;12)"))
-        elif check == "NSIT3":
-            # Complete three-time set: the full run keeps its clumsiness, the
-            # reduced reference runs are clean, and the blind mechanism sits at
-            # every detector time that is not read out (plus the detector times
-            # of the full run, where it is harmless).
-            use_mech = s.config.uses_mechanism
-            p123 = runner.experiment((1, 2, 3), mechanism=(1, 2) if use_mech else ())
-            p23 = runner.experiment((2, 3), mechanism=(1,) if use_mech else (), clean=True)
-            p13 = runner.experiment((1, 3), mechanism=(2,) if use_mech else (), clean=True)
-            p3 = runner.experiment((3,), mechanism=(1, 2) if use_mech else (), clean=True)
-            witnesses.append(check_nsit(p23, p3, (1,), condition="NSIT-(3;23)"))
-            witnesses.append(check_nsit(p123, p13, (2,), condition="NSIT-(13;123)"))
-            witnesses.append(check_nsit(p123, p23, (1,), condition="NSIT-(23;123)"))
-        elif check == "MONO":
-            pair, companion = runner.nsit_pair()
-            extend(macrocert.check_monotonicity(pair, companion))
-        elif check == "APPENDIX":
-            extend(
-                macrocert.check_appendix_identities(
-                    s.initial_state, s.hamiltonian, s.observable, s.schedule[0], s.schedule[1]
-                )
-            )
-    return runner.tables, moments, conditions, witnesses
 
 
 def _verdict(conditions: Sequence[ConditionResult], witnesses: Sequence[WitnessReport]) -> str:
@@ -704,8 +333,8 @@ def _row_data(template: Mapping[str, Any], parameter: str, value) -> dict:
     """The template with ``value`` set at ``parameter``; only the dicts along the path are copied."""
     data = dict(template)
     if parameter == "schedule.gap":
-        m = len(template.get("schedule", [])) or 3
         try:
+            m = len(template.get("schedule", [])) or 3
             gap = float(value)
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"schedule.gap: {exc}") from exc
@@ -772,7 +401,11 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 
 
 def sweep_to_csv(rows: Sequence[dict]) -> str:
-    """One row per swept value: value column, condition-id margin columns, error column."""
+    """One row per swept value: value column, condition-id margin columns, error column.
+
+    A value cell holding a comma or a quote (a list-valued sweep) is quoted,
+    with its quotes doubled; any other value is written as it stands.
+    """
     ids: list[str] = []
     for row in rows:
         for cid in row["margins"]:
@@ -781,7 +414,8 @@ def sweep_to_csv(rows: Sequence[dict]) -> str:
     lines = [",".join(["value"] + [f'"{c}"' for c in ids] + ["error"])]
     for row in rows:
         value = row["value"]
-        cells = [repr(float(value)) if isinstance(value, (int, float)) else str(value)]
+        cell = repr(float(value)) if isinstance(value, (int, float)) else str(value)
+        cells = ['"' + cell.replace('"', '""') + '"' if "," in cell or '"' in cell else cell]
         for cid in ids:
             cells.append(repr(row["margins"][cid]) if cid in row["margins"] else "")
         err = str(row["error"]).replace('"', "'")

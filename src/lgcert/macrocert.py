@@ -7,6 +7,8 @@ quasi-probabilities and decoherence functionals, candidate joint probabilities
 built from higher-order correlators, sequential-monotonicity conditions, the
 Fine product ansatz for extending consistent three-time tables, and an exact
 Fourier-Motzkin feasibility decision for partially specified moment sets.
+``_certify`` runs a scenario's checks from one registry (minimum number of
+times, moments read, evaluator) on the experiment runner of ``protocols``.
 The elimination prunes redundant constraints with Chernikov's rules (Kohler's
 ancestor-count criterion and minimal ancestor sets), so it decides n in {3, 4}
 with any number of unfixed moments.
@@ -22,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,7 +38,14 @@ from .qcore import (
     evolve_matrix,
     unitary_for,
 )
-from .protocols import OutcomeTable, Schedule, marginal_distribution
+from .protocols import (
+    OutcomeTable,
+    ScenarioError,
+    Schedule,
+    _ExperimentRunner,
+    _RowSet,
+    marginal_distribution,
+)
 
 __all__ = [
     "VERDICT_TOL",
@@ -608,6 +617,107 @@ def check_appendix_identities(
         residual = abs((p2_alone[s2] - p12[(s1, s2)]) - (p12[(-s1, s2)] + witness[s2]))
         entries.append(_result(f"A-MONO-EQUIV-({_sign_str((s1, s2))})", -residual, 0.0))
     return InequalityReport(tuple(entries))
+
+
+# ---------------------------------------------------------------------------
+# Certification: the check registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Check:
+    """One check: ``evaluate`` runs any further experiments it needs and returns its results."""
+
+    min_times: int
+    moments: tuple[tuple[int, ...], ...]
+    evaluate: Callable[[_ExperimentRunner, MomentSet | None], Sequence[ConditionResult | WitnessReport]]
+
+
+def _nonnegativity(m: MomentSet, n: int) -> tuple[ConditionResult, ...]:
+    sub = MomentSet(
+        n=n,
+        values={k: v for k, v in m.values.items() if max(k) <= n},
+        variances={k: v for k, v in m.variances.items() if max(k) <= n},
+    )
+    return check_nonnegativity(candidate_probability(sub)).entries
+
+
+def _nsit3(runner: _ExperimentRunner, m: MomentSet | None) -> list[WitnessReport]:
+    # Complete three-time set: the full run keeps its clumsiness, the
+    # reduced reference runs are clean, and the blind mechanism sits at
+    # every detector time that is not read out (plus the detector times
+    # of the full run, where it is harmless).
+    use_mech = runner.s.config.uses_mechanism
+    p123 = runner.experiment((1, 2, 3), mechanism=(1, 2) if use_mech else ())
+    p23 = runner.experiment((2, 3), mechanism=(1,) if use_mech else (), clean=True)
+    p13 = runner.experiment((1, 3), mechanism=(2,) if use_mech else (), clean=True)
+    p3 = runner.experiment((3,), mechanism=(1, 2) if use_mech else (), clean=True)
+    return [
+        check_nsit(p23, p3, (1,), condition="NSIT-(3;23)"),
+        check_nsit(p123, p13, (2,), condition="NSIT-(13;123)"),
+        check_nsit(p123, p23, (1,), condition="NSIT-(23;123)"),
+    ]
+
+
+def _appendix(runner: _ExperimentRunner, m: MomentSet | None) -> tuple[ConditionResult, ...]:
+    s = runner.s
+    return check_appendix_identities(
+        s.initial_state, s.hamiltonian, s.observable, s.schedule[0], s.schedule[1]
+    ).entries
+
+
+_CHECKS = {
+    "LG2": _Check(3, ((1,), (2,), (3,), (1, 2), (2, 3), (1, 3)), lambda r, m: check_lg2(m).entries),
+    "LG3": _Check(3, ((1, 2), (2, 3), (1, 3)), lambda r, m: check_lg3(m).entries),
+    "LG4": _Check(4, ((1, 2), (2, 3), (3, 4), (1, 4)), lambda r, m: check_lg4(m).entries),
+    "NSIT": _Check(
+        2, (), lambda r, m: [check_nsit(*r.nsit_pair(), (1,), condition="NSIT-(2;12)")]
+    ),
+    "NSIT3": _Check(3, (), _nsit3),
+    "NONNEG3": _Check(
+        3, ((1,), (2,), (3,), (1, 2), (2, 3), (1, 3), (1, 2, 3)), lambda r, m: _nonnegativity(m, 3)
+    ),
+    "NONNEG4": _Check(4, tuple(moment_keys(4)), lambda r, m: _nonnegativity(m, 4)),
+    "MONO": _Check(2, (), lambda r, m: check_monotonicity(*r.nsit_pair()).entries),
+    "APPENDIX": _Check(2, (), _appendix),
+}
+
+
+def _certify(
+    rows: _RowSet, row: int
+) -> tuple[dict[str, OutcomeTable], MomentSet | None, list[ConditionResult], list[WitnessReport]]:
+    """Run every experiment one row's checks require; return tables, moments, conditions, witnesses.
+
+    Every moment is measured first, in index order, then each check runs in
+    the scenario's order; that is the order in which sampled experiments
+    draw their child seeds.
+    """
+    s = rows.scenario(row)
+    n_times = len(s.schedule)
+    for name in s.checks:
+        check = _CHECKS[name]
+        if n_times < check.min_times:
+            detail = f" (missing experiments at times {list(check.moments)})" if check.moments else ""
+            raise ScenarioError(
+                f"checks: {name} needs at least {check.min_times} schedule times, got {n_times}{detail}"
+            )
+
+    runner = _ExperimentRunner(rows, row)
+    moment_times = sorted({times for name in s.checks for times in _CHECKS[name].moments})
+    moments: MomentSet | None = None
+    if moment_times and s.derive_lower_moments:
+        top = tuple(range(1, max(max(t) for t in moment_times) + 1))
+        moments = moments_from_single_table(runner.experiment(top))
+    elif moment_times:
+        sources = {times: runner.experiment(times) for times in moment_times}
+        moments = moments_from_tables(sources, n=min(n_times, 4))
+
+    conditions: list[ConditionResult] = []
+    witnesses: list[WitnessReport] = []
+    for name in s.checks:
+        for result in _CHECKS[name].evaluate(runner, moments):
+            (witnesses if isinstance(result, WitnessReport) else conditions).append(result)
+    return runner.tables, moments, conditions, witnesses
 
 
 # ---------------------------------------------------------------------------

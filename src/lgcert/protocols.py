@@ -16,6 +16,10 @@ vectorised exp, and runs every INRM detector configuration in the same pass.
 A leading row axis lets one call serve several runs that differ only in
 their schedule times and clumsiness, as the rows of a sweep do; a single run
 is one row.
+
+A row set of scenarios and a runner per row turn the kernel's output into a
+certification's independent experiments and seed their sampling; the library
+entry points are one-row calls on them, as certifications and sweeps are.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -48,6 +52,8 @@ __all__ = [
     "MODES",
     "Schedule",
     "ProtocolConfig",
+    "Scenario",
+    "ScenarioError",
     "OutcomeTable",
     "InrmPartial",
     "single_time_distribution",
@@ -140,6 +146,10 @@ class ProtocolConfig:
     @property
     def uses_ancilla(self) -> bool:
         return self.mode == "ancilla_blind"
+
+    @property
+    def uses_detectors(self) -> bool:
+        return self.mode in ("inrm", "inrm_dephased")
 
     def resolved_dephase_times(self, measured: Sequence[int], n_times: int) -> frozenset[int]:
         """Mechanism placement for an experiment measuring the given slots."""
@@ -428,7 +438,9 @@ def experiment_distribution(
     measured (default: all).  The diagonalization mechanism acts at the
     config-resolved times whether or not those times are read out, which is
     what the modified ideal-negative-measurement protocol requires.  INRM
-    modes are served by assembling all detector configurations (exact mode).
+    modes are served by assembling all detector configurations (exact mode);
+    with one read-out, or the mechanism at a time not read out, they run the
+    entrywise-equal projective counterpart, as a certification does.
     """
     m = len(schedule)
     observables = _as_observable_list(q, m)
@@ -437,15 +449,11 @@ def experiment_distribution(
         raise ValidationError("measured time subset must be non-empty")
     if any(i < 1 or i > m for i in measured):
         raise ValidationError(f"measured indices must lie in 1..{m}")
-    config = replace(config, shots=0)
-    outcomes, raw = _experiment_probabilities(
-        rho, h, observables, [schedule], measured, config, [config.clumsiness]
-    )
-    return _experiment_table(outcomes, raw[0], observables, measured, config)
-
-
-def _is_inrm(config: ProtocolConfig, measured: Sequence[int]) -> bool:
-    return config.mode in ("inrm", "inrm_dephased") and len(measured) >= 2
+    if config.uses_detectors and len(measured) > 1:
+        q = observables[measured[0] - 1]  # the one observable every detector reads
+        if not isinstance(q, DichotomicObservable) or any(observables[i - 1] is not q for i in measured):
+            raise ValidationError("INRM assembly requires a single dichotomic observable")
+    return _one_row(rho, h, q, schedule, replace(config, shots=0)).experiment(measured)
 
 
 def _experiment_probabilities(
@@ -461,33 +469,23 @@ def _experiment_probabilities(
 
     ``schedules`` (all of one length) and ``clumsiness`` (all of one kind and
     triviality) hold one entry per row; ``config`` gives the mode and the
-    mechanism, and its own clumsiness model is not used.  INRM modes with two
-    or more read-outs put their detectors at the measured times, so they run
-    the measured sub-schedule, branch on every detector outcome and read the
-    last time as a trace; the mechanism (``dephase_times``, resolved against
-    ``measured``) must then lie among the measured times.  Returns the outcome
-    tuples and an (R, N) array of unclamped probabilities.
+    mechanism, and its own clumsiness model is not used.  INRM modes put
+    their detectors at the measured times, so they run the measured
+    sub-schedule, branch on every detector outcome and read the last time as
+    a trace; ``_experiment_config`` keeps them only where the mechanism lies
+    among two or more measured times.  Returns the outcome tuples and an
+    (R, N) array of unclamped probabilities.
     """
     dephase_at = config.resolved_dephase_times(measured, len(schedules[0]))
-    if not _is_inrm(config, measured):
+    if not config.uses_detectors:
         times = [schedule.times for schedule in schedules]
         return _propagate(
             rho, h, observables, times, measured, dephase_at, clumsiness, config.uses_ancilla
         )
-    unsupported = sorted(i for i in dephase_at if i not in measured)
-    if unsupported:
-        raise ValidationError(
-            f"INRM modes cannot place the mechanism at non-measured times {unsupported}"
-        )
-    obs = observables[measured[0] - 1]
-    if not isinstance(obs, DichotomicObservable) or any(
-        observables[i - 1] is not obs for i in measured
-    ):
-        raise ValidationError("INRM assembly requires a single dichotomic observable")
     return _propagate(
         rho,
         h,
-        [obs] * len(measured),
+        [observables[measured[0] - 1]] * len(measured),
         [[schedule[i - 1] for i in measured] for schedule in schedules],
         range(1, len(measured) + 1),
         frozenset(measured.index(i) + 1 for i in dephase_at),
@@ -516,7 +514,7 @@ def _experiment_table(
     table, one per INRM configuration in couplings product order.
     """
     probs = dict(zip(outcomes, raw.tolist()))
-    if not _is_inrm(config, measured):
+    if not config.uses_detectors:
         table = OutcomeTable(
             slots=tuple(tuple(observables[i - 1].outcomes) for i in measured),
             probabilities=_clean_probs(probs),
@@ -541,6 +539,262 @@ def _experiment_table(
         shots=config.shots if sampled else None,
         slot_times=measured,
     )
+
+
+# ---------------------------------------------------------------------------
+# Experiment orchestration
+# ---------------------------------------------------------------------------
+
+
+class ScenarioError(ValidationError):
+    """A scenario or sweep file failed validation; the message names the field."""
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One row: what a certification runs on.  ``observable`` may be one per time (library calls)."""
+
+    dimension: int
+    initial_state: DensityOperator
+    hamiltonian: Hamiltonian
+    observable: Observable | Sequence[Observable]
+    schedule: Schedule
+    config: ProtocolConfig
+    checks: tuple[str, ...]
+    shots: int
+    seed: int
+    derive_lower_moments: bool = False
+    raw: Mapping[str, Any] = field(default_factory=dict)
+
+
+def _times_name(times: Sequence[int]) -> str:
+    return "".join(str(i) for i in times)
+
+
+def _batch_signature(s: Scenario) -> tuple:
+    """What rows must share for one kernel call to serve them all.
+
+    Rows with equal signatures differ only in schedule times and clumsiness
+    strength.  The parsed state, Hamiltonian and observable count by
+    identity: sweep rows share the template's objects.  A kick generator's
+    shape is part of it so that a row with a mismatched generator fails on
+    its own.
+    """
+    c = s.config
+    generator = c.clumsiness.generator
+    return (
+        id(s.initial_state),
+        id(s.hamiltonian),
+        id(s.observable),
+        c.mode,
+        c.dephase_times,
+        len(s.schedule),
+        c.clumsiness.kind,
+        c.clumsiness.is_trivial,
+        None if generator is None else generator.shape,
+        s.shots,
+    )
+
+
+# Rows per kernel call are capped so that one call's final branch stack holds
+# at most this many complex entries (16 MB), unless a single row needs more.
+_BATCH_ENTRIES = 1 << 20
+
+
+def _experiment_config(
+    s: Scenario, measured: tuple[int, ...], mechanism: tuple[int, ...], clean: bool
+) -> ProtocolConfig:
+    """How one experiment of scenario ``s`` runs.
+
+    A single read-out has no INRM detectors, and a mechanism at a
+    non-detector time is not expressible with them; such experiments run the
+    entrywise-equal projective counterpart on the master schedule.
+    """
+    mode = s.config.mode
+    if s.config.uses_detectors and (len(measured) < 2 or not set(mechanism) <= set(measured)):
+        mode = "projective" if mode == "inrm" else "projective_dephased"
+    clumsiness = ClumsinessModel.none() if clean else s.config.clumsiness
+    return ProtocolConfig(mode=mode, dephase_times=mechanism, clumsiness=clumsiness, shots=s.shots)
+
+
+class _RowSet:
+    """The parsed rows of a sweep, or the one row of a single certification.
+
+    ``scenarios`` holds each row's scenario, or the message of the error its
+    parsing raised.  The first row to ask for an experiment runs it in one
+    kernel call for itself and every later row with the same batch
+    signature, and keeps the later rows' exact probabilities, one (R, N)
+    array per call, until each row asks for them.
+
+    It also owns finite-shot seeding.  Per scenario seed it keeps one
+    ``SeedSequence`` root, spawned one child at a time, and the child seeds
+    drawn so far; per child seed, the initial state of its PCG64 stream.
+    Rows that share a seed (all rows of a sweep, unless the seed is swept)
+    therefore spawn and seed each child once.  The caches live as long as
+    the row set, which is one library, ``run_certification`` or ``run_sweep``
+    call.
+    """
+
+    def __init__(self, scenarios: Sequence[Scenario | str]):
+        self.scenarios = list(scenarios)
+        self._signatures = [
+            _batch_signature(s) if isinstance(s, Scenario) else None for s in self.scenarios
+        ]
+        self._pending: dict[tuple, tuple[list[tuple[int, ...]], np.ndarray]] = {}
+        self._children: dict[int, tuple[np.random.SeedSequence, list[int]]] = {}
+        self._states: dict[int, dict] = {}
+        self._rng: np.random.Generator | None = None
+
+    def scenario(self, row: int) -> Scenario:
+        s = self.scenarios[row]
+        if isinstance(s, str):
+            raise ScenarioError(s)
+        return s
+
+    def probabilities(
+        self, row: int, request: tuple, config: ProtocolConfig, observables: Sequence[Observable]
+    ) -> tuple[list[tuple[int, ...]], np.ndarray]:
+        """Outcome tuples and one row's exact, unclamped probabilities for one experiment.
+
+        ``request`` is the experiment's ``(measured, mechanism, clean)``,
+        ``config`` the row's ``_experiment_config`` for it and ``observables``
+        the observable at each time, which the rows of a batch share.
+        """
+        ready = self._pending.pop((row, request), None)
+        if ready is not None:
+            return ready
+        measured, _, clean = request
+        s = self.scenarios[row]
+        signature = self._signatures[row]
+        group = [j for j in range(row, len(self.scenarios)) if self._signatures[j] == signature]
+        branches = math.prod(len(observables[i - 1].outcomes) for i in measured)
+        group = group[: max(1, _BATCH_ENTRIES // (branches * s.dimension**2))]
+        rows = [self.scenarios[j] for j in group]
+        outcomes, raw = _experiment_probabilities(
+            s.initial_state,
+            s.hamiltonian,
+            observables,
+            [r.schedule for r in rows],
+            measured,
+            config,
+            [config.clumsiness if clean else r.config.clumsiness for r in rows],
+        )
+        for position, j in enumerate(group[1:], start=1):
+            self._pending[(j, request)] = (outcomes, raw[position])
+        return outcomes, raw[0]
+
+    def generator(self, seed: int, index: int) -> np.random.Generator:
+        """A generator at the start of the stream of ``seed``'s ``index``-th child seed.
+
+        The stream is ``np.random.default_rng(child)`` for the child seed
+        ``SeedSequence(seed).spawn(index + 1)[index]`` reduces to.  A stream
+        seen before is restored into one shared generator from its cached
+        initial state, so the generator returned is valid until the next call.
+        """
+        entry = self._children.get(seed)
+        if entry is None:
+            entry = self._children[seed] = (np.random.SeedSequence(seed), [])
+        root, children = entry
+        while len(children) <= index:
+            children.append(int(root.spawn(1)[0].generate_state(1)[0]))
+        child = children[index]
+        state = self._states.get(child)
+        if state is None:
+            bits = np.random.PCG64(child)
+            self._states[child] = bits.state
+            rng = np.random.Generator(bits)
+            if self._rng is None:
+                self._rng = rng
+            return rng
+        self._rng.bit_generator.state = state
+        return self._rng
+
+
+class _ExperimentRunner:
+    """Runs and caches the independent experiments one row's scenario needs.
+
+    Every sampled experiment draws its own child seed from the scenario seed
+    in execution order (the runner keeps only the draw index; the row set
+    spawns and seeds), so identical scenarios reproduce byte-identical
+    reports, whether the row runs alone or within a sweep.
+    """
+
+    def __init__(self, rows: _RowSet, row: int):
+        self.rows = rows
+        self.row = row
+        self.s = rows.scenario(row)
+        self.observables = _as_observable_list(self.s.observable, len(self.s.schedule))
+        self.tables: dict[str, OutcomeTable] = {}
+        # Exact probabilities per (measured, mechanism, clean): experiments
+        # under different keys (a moment's and the NSIT pair's) may share one.
+        self._exact: dict[tuple, tuple[list[tuple[int, ...]], np.ndarray]] = {}
+        self._draws = 0
+
+    def _next_generator(self) -> np.random.Generator:
+        rng = self.rows.generator(self.s.seed, self._draws)
+        self._draws += 1
+        return rng
+
+    def experiment(
+        self,
+        measured: tuple[int, ...],
+        mechanism: tuple[int, ...] | None = None,
+        clean: bool = False,
+        key: str | None = None,
+    ) -> OutcomeTable:
+        """One independent experiment reading out the given schedule times.
+
+        ``mechanism`` (master 1-based times, default: the protocol's own
+        resolution) places the diagonalization; the scenario's clumsiness
+        channel is injected before the experiment's first measurement unless
+        ``clean``.
+        """
+        s = self.s
+        if mechanism is None:
+            mechanism = tuple(sorted(s.config.resolved_dephase_times(measured, len(s.schedule))))
+        if key is None:
+            key = _times_name(measured) + ("" if not mechanism else "_blind" + _times_name(mechanism))
+            if clean and not s.config.clumsiness.is_trivial:
+                key += "_clean"
+        if key in self.tables:
+            return self.tables[key]
+
+        config = _experiment_config(s, measured, mechanism, clean)
+        if config.uses_detectors and not isinstance(s.observable, DichotomicObservable):
+            raise ScenarioError("protocol: INRM modes require a dichotomic observable")
+        request = (measured, mechanism, clean)
+        if request not in self._exact:
+            self._exact[request] = self.rows.probabilities(self.row, request, config, self.observables)
+        outcomes, raw = self._exact[request]
+        # Detectors sit at the measured times; every INRM configuration draws
+        # its own child seed.
+        table = _experiment_table(outcomes, raw, self.observables, measured, config, self._next_generator)
+        self.tables[key] = table
+        return table
+
+    def nsit_pair(self) -> tuple[OutcomeTable, OutcomeTable]:
+        """The two-time NSIT experiment pair on the first two schedule times."""
+        s = self.s
+        mech = tuple(sorted(s.config.resolved_dephase_times((1, 2), len(s.schedule))))
+        pair = self.experiment((1, 2), mechanism=mech, key="nsit:12")
+        # The companion run makes no measurement at t1, so it carries no
+        # clumsiness; the diagonalization mechanism stays in place.
+        companion_key = "nsit:2" + ("" if not mech else "_blind" + _times_name(mech))
+        companion = self.experiment((2,), mechanism=mech, clean=True, key=companion_key)
+        return pair, companion
+
+
+def _one_row(
+    rho: DensityOperator,
+    h: Hamiltonian,
+    q: Observable | Sequence[Observable],
+    schedule: Schedule,
+    config: ProtocolConfig,
+    seed: int = 0,
+) -> _ExperimentRunner:
+    """The runner of a one-row row set, on which the library entry points run their experiments."""
+    scenario = Scenario(rho.dim, rho, h, q, schedule, config, (), config.shots, seed)
+    return _ExperimentRunner(_RowSet([scenario]), 0)
 
 
 def inrm_distribution(
@@ -787,9 +1041,9 @@ def sample_counts(
 
     ``seed`` is an integer seed, drawn from exactly as
     ``np.random.default_rng(seed)`` would, or a generator drawn from as it
-    stands.  The CLI passes a generator whose state it restored from the
-    cached initial state of an experiment's child seed, which is the same
-    stream as ``np.random.default_rng(child_seed)``.
+    stands.  The experiment runner passes a generator whose state the row
+    set restored from the cached initial state of an experiment's child
+    seed, which is the same stream as ``np.random.default_rng(child_seed)``.
     """
     shots = int(shots)
     if shots < 1:
@@ -822,25 +1076,20 @@ def run_nsit_pair(
     first measurement of the pair experiment inflicts, so it acts only there;
     the companion experiment performs no measurement at t1 and therefore
     carries no clumsiness (the mechanism, by contrast, stays in place).
+
+    These are the ``nsit:12`` and ``nsit:2`` tables of a certification of
+    the same system with the NSIT check, byte for byte.  With
+    ``config.shots > 0`` every sampled table draws its own child seed of
+    ``seed`` (default 0) in execution order.  An INRM pair samples each
+    detector configuration as its own multinomial, with its own discard cell
+    and its own child seed, so with two times the pair takes children 0 and 1
+    and the companion child 2; otherwise the pair takes child 0 and the
+    companion child 1.
     """
     if not float(t1) < float(t2):
         raise ValidationError(f"need t1 < t2, got t1 = {t1}, t2 = {t2}")
     schedule = Schedule((float(t1), float(t2)))
-    # The mechanism placement is a property of the pair protocol; the
-    # companion keeps it in place even though it performs no measurement at t1.
-    mechanism = tuple(sorted(config.resolved_dephase_times((1, 2), 2)))
-    pair = experiment_distribution(
-        rho, h, q, schedule, (1, 2), replace(config, dephase_times=mechanism)
-    )
-    companion_config = replace(
-        config, dephase_times=mechanism, clumsiness=ClumsinessModel.none()
-    )
-    companion = experiment_distribution(rho, h, q, schedule, (2,), companion_config)
-    if config.shots > 0:
-        ss = np.random.SeedSequence(seed if seed is not None else 0).spawn(2)
-        pair = sample_counts(pair, config.shots, int(ss[0].generate_state(1)[0]))
-        companion = sample_counts(companion, config.shots, int(ss[1].generate_state(1)[0]))
-    return pair, companion
+    return _one_row(rho, h, q, schedule, config, seed if seed is not None else 0).nsit_pair()
 
 
 # ---------------------------------------------------------------------------
