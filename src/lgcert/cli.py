@@ -41,7 +41,7 @@ from .protocols import (
     _times_name,
     table_to_json,
 )
-from .macrocert import _CHECKS, ConditionResult, WitnessReport, _certify
+from .macrocert import _CHECKS, ConditionResult, WitnessReport, _certify, _certify_exact
 
 __all__ = [
     "ScenarioError",
@@ -88,6 +88,13 @@ def _field(name: str, parse, *args):
         raise
     except (KeyError, TypeError, ValueError) as exc:  # ValidationError is a ValueError
         raise ScenarioError(f"{name}: {exc}") from exc
+
+
+def _integer(name: str, value) -> int:
+    """An integer field: an int, an integral number or a string ``int`` reads; never a bool."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ScenarioError(f"{name}: must be an integer, got {value!r}")
+    return _field(name, int, value)
 
 
 def _parse_state(spec, dim: int) -> DensityOperator:
@@ -179,10 +186,7 @@ def scenario_from_dict(data: Mapping[str, Any], template: Scenario | None = None
     """
     if not isinstance(data, Mapping):
         raise ScenarioError("scenario must be a JSON object")
-    try:
-        dim = int(data.get("dimension", 2))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"dimension: {exc}") from exc
+    dim = _integer("dimension", data.get("dimension", 2))
     if dim < 2:
         raise ScenarioError(f"dimension must be >= 2, got {dim}")
 
@@ -206,8 +210,11 @@ def scenario_from_dict(data: Mapping[str, Any], template: Scenario | None = None
     proto = data.get("protocol", {}) or {}
     if not isinstance(proto, Mapping):
         raise ScenarioError("protocol: must be a JSON object")
+    if "shots" in data:
+        shots = _integer("shots", data["shots"])
+    else:
+        shots = _integer("protocol.shots", proto.get("shots", 0))
     try:
-        shots = int(data.get("shots", proto.get("shots", 0)))
         config = ProtocolConfig(
             mode=proto.get("mode", "projective"),
             dephase_times=tuple(proto["dephase_times"]) if proto.get("dephase_times") else None,
@@ -229,10 +236,7 @@ def scenario_from_dict(data: Mapping[str, Any], template: Scenario | None = None
     if len(set(checks)) != len(checks):
         raise ScenarioError("checks: identifiers must be distinct")
 
-    try:
-        seed = int(data.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"seed: {exc}") from exc
+    seed = _integer("seed", data.get("seed", 0))
     if seed < 0:
         raise ScenarioError(f"seed: must be a non-negative integer, got {seed}")
     derive = data.get("derive_lower_moments", False)
@@ -352,16 +356,21 @@ def _row_data(template: Mapping[str, Any], parameter: str, value) -> dict:
 
 
 def _sweep_row(rows: _RowSet, row: int, value) -> dict:
+    """One sweep row: an exact row reads its margins from its group's columns, any other certifies alone."""
+    s = rows.scenarios[row]
     try:
-        _, _, conditions, witnesses = _certify(rows, row)
+        if isinstance(s, Scenario) and s.shots == 0:
+            margins, satisfied = _certify_exact(rows, row)
+        else:
+            _, _, conditions, witnesses = _certify(rows, row)
+            margins = {cond.condition: cond.margin for cond in conditions}
+            for wit in witnesses:
+                margins[wit.condition] = wit.max_abs
+            satisfied = _verdict(conditions, witnesses) == "all_satisfied"
     except ValidationError as exc:
         return {"value": value, "margins": {}, "verdict": "error", "error": str(exc)}
-    margins: dict[str, float] = {}
-    for cond in conditions:
-        margins[cond.condition] = cond.margin
-    for wit in witnesses:
-        margins[wit.condition] = wit.max_abs
-    return {"value": value, "margins": margins, "verdict": _verdict(conditions, witnesses), "error": ""}
+    verdict = "all_satisfied" if satisfied else "violations"
+    return {"value": value, "margins": margins, "verdict": verdict, "error": ""}
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
@@ -373,13 +382,19 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     wherever its subtree is the template's own, so a ``schedule.gap`` or
     clumsiness-strength sweep shares one eigendecomposition.  Rows that
     differ only in schedule times or clumsiness strength run each experiment
-    in one kernel call, filled by the first row that asks.  Rows that share
-    a seed share its child seeds and their generator states: each child is
+    in one kernel call, filled by the first row that asks.  Exact rows
+    (``shots == 0``) that also share their checks and moment source are
+    evaluated as columns: the first row that asks computes every row's
+    cleaned probabilities, moments, margins and verdicts from the kernel's
+    (R, N) arrays, accumulating in the scalar code's order, and builds no
+    per-row table.  Finite-shot rows are evaluated per row: rows that share
+    a seed share its child seeds and their generator states (each child is
     spawned and seeded once per sweep, and each row's draws restore those
-    states in the row's own order.  Sampling and checks stay per row, so
-    every row equals ``run_certification`` on its own scenario.  A row that
-    fails, including one whose value is malformed, carries its error message
-    in the ``error`` field and the sweep continues.
+    states in the row's own order), while sampling and checks stay per row.
+    Either way every row equals ``run_certification`` on its own scenario,
+    bit for bit.  A row that fails, including one whose value is malformed
+    or whose exact table fails validation, carries its error message in the
+    ``error`` field and the sweep continues.
     """
     template = spec.scenario
     if template is None:

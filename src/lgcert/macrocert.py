@@ -42,8 +42,13 @@ from .protocols import (
     OutcomeTable,
     ScenarioError,
     Schedule,
+    _as_observable_list,
+    _ColumnRunner,
     _ExperimentRunner,
+    _marginal_columns,
+    _row_sums,
     _RowSet,
+    _TableColumns,
     marginal_distribution,
 )
 
@@ -625,12 +630,45 @@ def check_appendix_identities(
 
 
 @dataclass(frozen=True)
+class _Block:
+    """One check's results for every row of a group, as ``_certify_columns`` returns them.
+
+    Per row: the result ids, their margins (or witness ``max_abs``), and
+    whether every one is satisfied (or non-invasive).
+    """
+
+    ids: Sequence[Sequence[str]]
+    values: Sequence[Sequence[float]]
+    satisfied: Sequence[bool]
+    witness: bool = False
+
+
+def _condition_block(ids: list[str], margins: np.ndarray) -> _Block:
+    """Conditions with shared ids from an (R, K) margin array, judged as ``_result`` judges exact margins."""
+    return _Block([ids] * len(margins), margins.tolist(), (margins >= -VERDICT_TOL).all(axis=1).tolist())
+
+
+def _witness_block(ids: list[str], max_abs: np.ndarray) -> _Block:
+    """Exact NSIT witnesses from an (R, K) array of ``max_abs``, judged as ``check_nsit`` judges them."""
+    return _Block(
+        [ids] * len(max_abs), max_abs.tolist(), (~(max_abs > VERDICT_TOL).any(axis=1)).tolist(), True
+    )
+
+
+@dataclass(frozen=True)
 class _Check:
-    """One check: ``evaluate`` runs any further experiments it needs and returns its results."""
+    """One check: minimum times, moments read, and its evaluators.
+
+    ``evaluate`` runs any further experiments it needs on one row's runner
+    and returns its results; ``columns`` does the same for a group of exact
+    rows on a ``_ColumnRunner``, with moments as one array per key, and
+    returns one ``_Block``.
+    """
 
     min_times: int
     moments: tuple[tuple[int, ...], ...]
     evaluate: Callable[[_ExperimentRunner, MomentSet | None], Sequence[ConditionResult | WitnessReport]]
+    columns: Callable[[_ColumnRunner, dict[tuple[int, ...], np.ndarray] | None], _Block]
 
 
 def _nonnegativity(m: MomentSet, n: int) -> tuple[ConditionResult, ...]:
@@ -642,7 +680,8 @@ def _nonnegativity(m: MomentSet, n: int) -> tuple[ConditionResult, ...]:
     return check_nonnegativity(candidate_probability(sub)).entries
 
 
-def _nsit3(runner: _ExperimentRunner, m: MomentSet | None) -> list[WitnessReport]:
+def _nsit3_witnesses(runner) -> list[tuple[str, object, object, tuple[int, ...]]]:
+    """The NSIT3 witnesses' (id, full table, reduced table, slots of the full table summed out)."""
     # Complete three-time set: the full run keeps its clumsiness, the
     # reduced reference runs are clean, and the blind mechanism sits at
     # every detector time that is not read out (plus the detector times
@@ -653,34 +692,169 @@ def _nsit3(runner: _ExperimentRunner, m: MomentSet | None) -> list[WitnessReport
     p13 = runner.experiment((1, 3), mechanism=(2,) if use_mech else (), clean=True)
     p3 = runner.experiment((3,), mechanism=(1, 2) if use_mech else (), clean=True)
     return [
-        check_nsit(p23, p3, (1,), condition="NSIT-(3;23)"),
-        check_nsit(p123, p13, (2,), condition="NSIT-(13;123)"),
-        check_nsit(p123, p23, (1,), condition="NSIT-(23;123)"),
+        ("NSIT-(3;23)", p23, p3, (1,)),
+        ("NSIT-(13;123)", p123, p13, (2,)),
+        ("NSIT-(23;123)", p123, p23, (1,)),
     ]
 
 
-def _appendix(runner: _ExperimentRunner, m: MomentSet | None) -> tuple[ConditionResult, ...]:
-    s = runner.s
+def _nsit3(runner: _ExperimentRunner, m: MomentSet | None) -> list[WitnessReport]:
+    return [
+        check_nsit(full, reduced, over, condition=name)
+        for name, full, reduced, over in _nsit3_witnesses(runner)
+    ]
+
+
+def _appendix_entries(s) -> tuple[ConditionResult, ...]:
     return check_appendix_identities(
         s.initial_state, s.hamiltonian, s.observable, s.schedule[0], s.schedule[1]
     ).entries
 
 
+# Column evaluators: each check of one row's exact certification for every
+# row of a group, with the scalar code's operations in the scalar code's order.
+
+
+def _lg3_columns(runner: _ColumnRunner, m: dict[tuple[int, ...], np.ndarray]) -> _Block:
+    combos = ((1, 1, 1), (-1, -1, 1), (1, -1, -1), (-1, 1, -1))
+    margins = [1.0 + a * m[(1, 2)] + b * m[(2, 3)] + d * m[(1, 3)] for a, b, d in combos]
+    return _condition_block([f"LG3-{idx}" for idx in range(1, 5)], np.stack(margins, axis=1))
+
+
+def _lg2_columns(runner: _ColumnRunner, m: dict[tuple[int, ...], np.ndarray]) -> _Block:
+    ids, margins = [], []
+    for i, j in ((1, 2), (2, 3), (1, 3)):
+        for idx, (si, sj) in enumerate(_LG2_PATTERNS, start=1):
+            ids.append(f"LG2-{i}{j}-{idx}")
+            margins.append(1.0 + si * m[(i,)] + sj * m[(j,)] + si * sj * m[(i, j)])
+    return _condition_block(ids, np.stack(margins, axis=1))
+
+
+def _lg4_columns(runner: _ColumnRunner, m: dict[tuple[int, ...], np.ndarray]) -> _Block:
+    pairs = ((1, 2), (2, 3), (3, 4), (1, 4))
+    margins = []
+    for negated in pairs:
+        terms = np.stack([(-1.0 if key == negated else 1.0) * m[key] for key in pairs], axis=1)
+        combo = np.array(_row_sums(terms))
+        margins.extend(2.0 + sign * combo for sign in (-1.0, 1.0))
+    return _condition_block([f"LG4-{idx}" for idx in range(1, 9)], np.stack(margins, axis=1))
+
+
+def _nonnegativity_columns(
+    runner: _ColumnRunner, m: dict[tuple[int, ...], np.ndarray], n: int
+) -> _Block:
+    """``_nonnegativity``: the candidate entries, their sum check, then one margin per entry."""
+    entries = {}
+    for signs in itertools.product((1, -1), repeat=n):
+        acc = 1.0
+        for key in moment_keys(n):
+            acc = acc + math.prod(signs[i - 1] for i in key) * m[key]
+        entries[signs] = acc / (2**n)
+    totals = _row_sums(np.stack(list(entries.values()), axis=1))
+    runner.fail(
+        f"candidate entries must sum to 1, got {total!r}" if abs(total - 1.0) > 1e-10 else None
+        for total in totals
+    )
+    order = sorted(entries, reverse=True)
+    return _condition_block(
+        [f"NONNEG-({_sign_str(signs)})" for signs in order], np.stack([entries[s] for s in order], axis=1)
+    )
+
+
+def _nsit_columns(
+    runner: _ColumnRunner, full: _TableColumns, reduced: _TableColumns, marginalize_over: Sequence[int]
+) -> np.ndarray:
+    """``check_nsit``'s ``max_abs`` for every row of exact tables."""
+    keep = [i for i in range(1, full.arity + 1) if i not in marginalize_over]
+    marg, errors = _marginal_columns(full, keep)
+    runner.fail(errors)
+    if marg.slots != reduced.slots:
+        raise ValidationError(
+            f"reduced table arity/labels {reduced.slots} do not match the marginalized full table {marg.slots}"
+        )
+    defects = reduced.values[:, reduced.columns(marg.outcomes)] - marg.values
+    return np.abs(defects).max(axis=1)
+
+
+def _monotonicity_columns(runner: _ColumnRunner, m) -> _Block:
+    """``check_monotonicity`` on the NSIT pair, for every row."""
+    full, reduced = runner.nsit_pair()
+    k = full.arity - reduced.arity
+    if k < 1:
+        raise ValidationError("full table must have more slots than the reduced table")
+    if full.slots[k:] != reduced.slots:
+        raise ValidationError("reduced table must match the trailing slots of the full table")
+    order = sorted(full.outcomes, reverse=True)
+    margins = (
+        reduced.values[:, reduced.columns(o[k:] for o in order)] - full.values[:, full.columns(order)]
+    )
+    return _condition_block([f"MONO-({_sign_str(o)})" for o in order], margins)
+
+
+def _nsit2_columns(runner: _ColumnRunner, m) -> _Block:
+    max_abs = _nsit_columns(runner, *runner.nsit_pair(), (1,))
+    return _witness_block(["NSIT-(2;12)"], max_abs[:, None])
+
+
+def _nsit3_columns(runner: _ColumnRunner, m) -> _Block:
+    witnesses = _nsit3_witnesses(runner)
+    max_abs = [_nsit_columns(runner, full, reduced, over) for _, full, reduced, over in witnesses]
+    return _witness_block([name for name, *_ in witnesses], np.stack(max_abs, axis=1))
+
+
+def _appendix_columns(runner: _ColumnRunner, m) -> _Block:
+    """The two-time identities stay one independent matrix computation per row."""
+    ids, values, satisfied = [], [], []
+    for i, row in enumerate(runner.group):
+        entries: tuple[ConditionResult, ...] = ()
+        if runner.errors[i] is None:
+            try:
+                entries = _appendix_entries(runner.rows.scenario(row))
+            except ValidationError as exc:
+                runner.errors[i] = str(exc)
+        ids.append([e.condition for e in entries])
+        values.append([e.margin for e in entries])
+        satisfied.append(all(e.verdict == "satisfied" for e in entries))
+    return _Block(ids, values, satisfied)
+
+
 _CHECKS = {
-    "LG2": _Check(3, ((1,), (2,), (3,), (1, 2), (2, 3), (1, 3)), lambda r, m: check_lg2(m).entries),
-    "LG3": _Check(3, ((1, 2), (2, 3), (1, 3)), lambda r, m: check_lg3(m).entries),
-    "LG4": _Check(4, ((1, 2), (2, 3), (3, 4), (1, 4)), lambda r, m: check_lg4(m).entries),
+    "LG2": _Check(
+        3, ((1,), (2,), (3,), (1, 2), (2, 3), (1, 3)), lambda r, m: check_lg2(m).entries, _lg2_columns
+    ),
+    "LG3": _Check(3, ((1, 2), (2, 3), (1, 3)), lambda r, m: check_lg3(m).entries, _lg3_columns),
+    "LG4": _Check(4, ((1, 2), (2, 3), (3, 4), (1, 4)), lambda r, m: check_lg4(m).entries, _lg4_columns),
     "NSIT": _Check(
-        2, (), lambda r, m: [check_nsit(*r.nsit_pair(), (1,), condition="NSIT-(2;12)")]
+        2, (), lambda r, m: [check_nsit(*r.nsit_pair(), (1,), condition="NSIT-(2;12)")], _nsit2_columns
     ),
-    "NSIT3": _Check(3, (), _nsit3),
+    "NSIT3": _Check(3, (), _nsit3, _nsit3_columns),
     "NONNEG3": _Check(
-        3, ((1,), (2,), (3,), (1, 2), (2, 3), (1, 3), (1, 2, 3)), lambda r, m: _nonnegativity(m, 3)
+        3, ((1,), (2,), (3,), (1, 2), (2, 3), (1, 3), (1, 2, 3)), lambda r, m: _nonnegativity(m, 3),
+        lambda r, m: _nonnegativity_columns(r, m, 3),
     ),
-    "NONNEG4": _Check(4, tuple(moment_keys(4)), lambda r, m: _nonnegativity(m, 4)),
-    "MONO": _Check(2, (), lambda r, m: check_monotonicity(*r.nsit_pair()).entries),
-    "APPENDIX": _Check(2, (), _appendix),
+    "NONNEG4": _Check(
+        4, tuple(moment_keys(4)), lambda r, m: _nonnegativity(m, 4),
+        lambda r, m: _nonnegativity_columns(r, m, 4),
+    ),
+    "MONO": _Check(2, (), lambda r, m: check_monotonicity(*r.nsit_pair()).entries, _monotonicity_columns),
+    "APPENDIX": _Check(2, (), lambda r, m: _appendix_entries(r.s), _appendix_columns),
 }
+
+
+def _require_times(s) -> None:
+    """Every check of ``s`` has the schedule times it needs."""
+    n_times = len(s.schedule)
+    for name in s.checks:
+        check = _CHECKS[name]
+        if n_times < check.min_times:
+            detail = f" (missing experiments at times {list(check.moments)})" if check.moments else ""
+            raise ScenarioError(
+                f"checks: {name} needs at least {check.min_times} schedule times, got {n_times}{detail}"
+            )
+
+
+def _moment_times(s) -> list[tuple[int, ...]]:
+    return sorted({times for name in s.checks for times in _CHECKS[name].moments})
 
 
 def _certify(
@@ -694,16 +868,10 @@ def _certify(
     """
     s = rows.scenario(row)
     n_times = len(s.schedule)
-    for name in s.checks:
-        check = _CHECKS[name]
-        if n_times < check.min_times:
-            detail = f" (missing experiments at times {list(check.moments)})" if check.moments else ""
-            raise ScenarioError(
-                f"checks: {name} needs at least {check.min_times} schedule times, got {n_times}{detail}"
-            )
+    _require_times(s)
 
     runner = _ExperimentRunner(rows, row)
-    moment_times = sorted({times for name in s.checks for times in _CHECKS[name].moments})
+    moment_times = _moment_times(s)
     moments: MomentSet | None = None
     if moment_times and s.derive_lower_moments:
         top = tuple(range(1, max(max(t) for t in moment_times) + 1))
@@ -718,6 +886,98 @@ def _certify(
         for result in _CHECKS[name].evaluate(runner, moments):
             (witnesses if isinstance(result, WitnessReport) else conditions).append(result)
     return runner.tables, moments, conditions, witnesses
+
+
+def _moment_column(key: tuple[int, ...], table: _TableColumns) -> np.ndarray:
+    """``_moment_from_table``'s clamped value for every row: signed entries added in table order."""
+    for slot in table.slots:
+        if set(slot) != {1, -1}:
+            raise ValidationError(f"moment {key} needs dichotomic (+1/-1) outcome tables")
+    value = np.zeros(len(table.values))
+    for outcome, column in zip(table.outcomes, table.values.T):
+        value = value + column if math.prod(outcome) > 0 else value - column
+    value = np.where(value > -1.0, value, -1.0)  # min(1.0, max(-1.0, value)), NaN and all
+    return np.where(value < 1.0, value, 1.0)
+
+
+def _moment_columns(
+    runner: _ColumnRunner, moment_times: list[tuple[int, ...]]
+) -> dict[tuple[int, ...], np.ndarray] | None:
+    """The moments of ``_certify`` for every row, with ``MomentSet``'s range check."""
+    if not moment_times:
+        return None
+    if runner.s.derive_lower_moments:
+        top = tuple(range(1, max(max(t) for t in moment_times) + 1))
+        table = runner.experiment(top)
+        sources = {}
+        for order in range(1, len(top) + 1):
+            for positions in itertools.combinations(top, order):
+                sources[positions], errors = _marginal_columns(table, positions)
+                runner.fail(errors)
+    else:
+        sources = {times: runner.experiment(times) for times in moment_times}
+    moments = {key: _moment_column(key, table) for key, table in sources.items()}
+    for key, value in moments.items():
+        runner.fail(
+            f"moment {key} must lie in [-1, 1], got {v!r}"
+            if not math.isfinite(v) or abs(v) > 1.0 + 1e-9
+            else None
+            for v in value.tolist()
+        )
+    return moments
+
+
+def _certify_columns(rows: _RowSet, group: list[int]) -> list[str | tuple[dict[str, float], bool]]:
+    """``_certify`` for exact rows that share a batch signature, checks and moment source, all at once.
+
+    Returns, per row of ``group``, its margins (condition ids, then witness
+    ids, as a sweep row lists them) and whether every check holds, or the
+    message of its error.  The experiments, validations and checks run in
+    ``_certify``'s order, each once for the group, and every entry, moment
+    and margin is accumulated column by column in the scalar code's order,
+    so each row's margins are its own certification's, bit for bit.  An
+    error the group's shared configuration raises is every remaining row's.
+    """
+    runner = _ColumnRunner(rows, group)
+    s = runner.s
+    blocks: list[_Block] = []
+    try:
+        _require_times(s)
+        moments = _moment_columns(runner, _moment_times(s))
+        blocks = [_CHECKS[name].columns(runner, moments) for name in s.checks]
+    except ValidationError as exc:
+        runner.fail([str(exc)] * len(group))
+    blocks = [b for b in blocks if not b.witness] + [b for b in blocks if b.witness]
+    results: list[str | tuple[dict[str, float], bool]] = []
+    for i, error in enumerate(runner.errors):
+        if error is not None:
+            results.append(error)
+            continue
+        margins: dict[str, float] = {}
+        for block in blocks:
+            margins.update(zip(block.ids[i], block.values[i]))
+        results.append((margins, all(block.satisfied[i] for block in blocks)))
+    return results
+
+
+def _certify_exact(rows: _RowSet, row: int) -> tuple[dict[str, float], bool]:
+    """One exact row's margins and whether every check holds, as ``_certify_columns`` gives them.
+
+    The first row of a group to ask evaluates the whole group; a row's error
+    is raised as a ``ValidationError`` with its message.
+    """
+    s = rows.scenario(row)
+    observables = _as_observable_list(s.observable, len(s.schedule))
+    result = rows.fill(
+        row,
+        "certified",
+        math.prod(len(q.outcomes) for q in observables),
+        lambda group: _certify_columns(rows, group),
+        share=lambda r: (r.checks, r.derive_lower_moments),
+    )
+    if isinstance(result, str):
+        raise ValidationError(result)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .qcore import (
     ManyValuedObservable,
     Observable,
     ValidationError,
-    apply_clumsiness_matrix,
     dephase_matrix,
     evolve_matrix,
     unitary_for,
@@ -362,12 +361,7 @@ def _propagate(
             else:
                 stack = dephase_matrix(stack, obs)
         if k == clumsy_at:
-            # each row's branches take that row's clumsiness model
-            b = stack.shape[1]
-            flat = stack.reshape(-1, d, d)
-            stack = np.array(
-                [apply_clumsiness_matrix(m, clumsiness[i // b]) for i, m in enumerate(flat)]
-            ).reshape(stack.shape)
+            stack = _clumsy_stack(stack, clumsiness)
         if k in measured:
             projs = obs.projector_stack
             branched = projs @ stack[:, :, None]
@@ -376,6 +370,25 @@ def _propagate(
             stack = branched.reshape(len(stack), -1, d, d)
             outcomes = [o + (s,) for o in outcomes for s in obs.outcomes]
     return outcomes, np.trace(stack, axis1=2, axis2=3).real
+
+
+def _clumsy_stack(stack: np.ndarray, clumsiness: Sequence[ClumsinessModel]) -> np.ndarray:
+    """``apply_clumsiness_matrix`` on every matrix of an (R, B, d, d) stack, row i with ``clumsiness[i]``.
+
+    The models are all of one non-trivial kind.  Bit for bit the per-matrix
+    function: depolarizing noise scales the real and imaginary parts of each
+    trace as its complex scalar arithmetic does (they differ at most in the
+    sign of a zero, which the product with the identity drops), and kicks
+    conjugate each row's branches with that row's unitary.
+    """
+    d = stack.shape[-1]
+    if clumsiness[0].kind == "unitary_kick":
+        kicks = np.array([c.kick_unitary for c in clumsiness])[:, None]
+        return kicks @ stack @ kicks.conj().swapaxes(-1, -2)
+    eps = np.array([c.strength for c in clumsiness])[:, None]
+    # eps * (Tr m / d) on the interleaved real and imaginary parts of the (R, B) traces
+    mixed = (eps * (np.trace(stack, axis1=2, axis2=3).view(float) / d)).view(complex)
+    return (1.0 - eps)[..., None, None] * stack + mixed[..., None, None] * np.eye(d)
 
 
 def _clean_probs(raw: dict[tuple[int, ...], float]) -> dict[tuple[int, ...], float]:
@@ -511,16 +524,16 @@ def _experiment_table(
     ``assemble_inrm`` over the configurations' partials, and only the merged
     table is validated.  With ``config.shots > 0`` the table is sampled with
     generators drawn from ``next_generator``: one for a directly sampled
-    table, one per INRM configuration in couplings product order.
+    table, which is drawn from the cleaned entries as ``sample_counts``
+    would draw from their exact table, one per INRM configuration in
+    couplings product order.  Only the sampled table is validated.
     """
     probs = dict(zip(outcomes, raw.tolist()))
     if not config.uses_detectors:
-        table = OutcomeTable(
-            slots=tuple(tuple(observables[i - 1].outcomes) for i in measured),
-            probabilities=_clean_probs(probs),
-            slot_times=measured,
-        )
-        return sample_counts(table, config.shots, next_generator()) if config.shots > 0 else table
+        slots = tuple(tuple(observables[i - 1].outcomes) for i in measured)
+        if config.shots > 0:
+            return _sampled_table(slots, _clean_probs(probs), config.shots, next_generator(), measured)
+        return OutcomeTable(slots=slots, probabilities=_clean_probs(probs), slot_times=measured)
     labels = observables[measured[0] - 1].outcomes
     sampled = config.shots > 0
     merged: dict[tuple[int, ...], float] = {}
@@ -614,17 +627,21 @@ def _experiment_config(
     if s.config.uses_detectors and (len(measured) < 2 or not set(mechanism) <= set(measured)):
         mode = "projective" if mode == "inrm" else "projective_dephased"
     clumsiness = ClumsinessModel.none() if clean else s.config.clumsiness
-    return ProtocolConfig(mode=mode, dephase_times=mechanism, clumsiness=clumsiness, shots=s.shots)
+    config = ProtocolConfig(mode=mode, dephase_times=mechanism, clumsiness=clumsiness, shots=s.shots)
+    if config.uses_detectors and not isinstance(s.observable, DichotomicObservable):
+        raise ScenarioError("protocol: INRM modes require a dichotomic observable")
+    return config
 
 
 class _RowSet:
     """The parsed rows of a sweep, or the one row of a single certification.
 
     ``scenarios`` holds each row's scenario, or the message of the error its
-    parsing raised.  The first row to ask for an experiment runs it in one
-    kernel call for itself and every later row with the same batch
-    signature, and keeps the later rows' exact probabilities, one (R, N)
-    array per call, until each row asks for them.
+    parsing raised.  Work that rows with the same batch signature can share
+    is done by the first row that asks, for itself and the later rows of its
+    group, which keep their shares until each row asks (``fill``): each
+    experiment's kernel call, one (R, N) array per call, and the columnar
+    certification of exact rows.
 
     It also owns finite-shot seeding.  Per scenario seed it keeps one
     ``SeedSequence`` root, spawned one child at a time, and the child seeds
@@ -640,7 +657,7 @@ class _RowSet:
         self._signatures = [
             _batch_signature(s) if isinstance(s, Scenario) else None for s in self.scenarios
         ]
-        self._pending: dict[tuple, tuple[list[tuple[int, ...]], np.ndarray]] = {}
+        self._pending: dict[tuple, Any] = {}
         self._children: dict[int, tuple[np.random.SeedSequence, list[int]]] = {}
         self._states: dict[int, dict] = {}
         self._rng: np.random.Generator | None = None
@@ -651,26 +668,53 @@ class _RowSet:
             raise ScenarioError(s)
         return s
 
-    def probabilities(
-        self, row: int, request: tuple, config: ProtocolConfig, observables: Sequence[Observable]
-    ) -> tuple[list[tuple[int, ...]], np.ndarray]:
-        """Outcome tuples and one row's exact, unclamped probabilities for one experiment.
+    def fill(
+        self,
+        row: int,
+        key: Any,
+        branches: int,
+        compute: Callable[[list[int]], Sequence[Any]],
+        share: Callable[[Scenario], Any] = lambda s: (),
+    ) -> Any:
+        """``row``'s result of ``compute(group)``, which returns one result per row of the group.
 
-        ``request`` is the experiment's ``(measured, mechanism, clean)``,
-        ``config`` the row's ``_experiment_config`` for it and ``observables``
-        the observable at each time, which the rows of a batch share.
+        The group is ``row`` and every later row with its batch signature and
+        its ``share(scenario)``, capped so that a kernel call with
+        ``branches`` branches per row holds at most ``_BATCH_ENTRIES``
+        entries.  The later rows' results wait under ``key`` until each row
+        asks.
         """
-        ready = self._pending.pop((row, request), None)
+        ready = self._pending.pop((row, key), None)
         if ready is not None:
             return ready
-        measured, _, clean = request
         s = self.scenarios[row]
         signature = self._signatures[row]
-        group = [j for j in range(row, len(self.scenarios)) if self._signatures[j] == signature]
-        branches = math.prod(len(observables[i - 1].outcomes) for i in measured)
+        shared = share(s)
+        group = [
+            j
+            for j in range(row, len(self.scenarios))
+            if self._signatures[j] == signature and share(self.scenarios[j]) == shared
+        ]
         group = group[: max(1, _BATCH_ENTRIES // (branches * s.dimension**2))]
+        results = compute(group)
+        for j, result in zip(group[1:], results[1:]):
+            self._pending[(j, key)] = result
+        return results[0]
+
+    def columns(
+        self, group: Sequence[int], request: tuple, config: ProtocolConfig, observables: Sequence[Observable]
+    ) -> tuple[list[tuple[int, ...]], np.ndarray]:
+        """Outcome tuples and the (R, N) exact, unclamped probabilities of one experiment for rows ``group``.
+
+        ``request`` is the experiment's ``(measured, mechanism, clean)``,
+        ``config`` the first row's ``_experiment_config`` for it and
+        ``observables`` the observable at each time, which the rows of a
+        batch share.  One kernel call serves every row.
+        """
+        measured, _, clean = request
         rows = [self.scenarios[j] for j in group]
-        outcomes, raw = _experiment_probabilities(
+        s = rows[0]
+        return _experiment_probabilities(
             s.initial_state,
             s.hamiltonian,
             observables,
@@ -679,9 +723,18 @@ class _RowSet:
             config,
             [config.clumsiness if clean else r.config.clumsiness for r in rows],
         )
-        for position, j in enumerate(group[1:], start=1):
-            self._pending[(j, request)] = (outcomes, raw[position])
-        return outcomes, raw[0]
+
+    def probabilities(
+        self, row: int, request: tuple, config: ProtocolConfig, observables: Sequence[Observable]
+    ) -> tuple[list[tuple[int, ...]], np.ndarray]:
+        """Outcome tuples and one row's exact, unclamped probabilities for one experiment (see ``columns``)."""
+        branches = math.prod(len(observables[i - 1].outcomes) for i in request[0])
+
+        def run(group: list[int]) -> list:
+            outcomes, raw = self.columns(group, request, config, observables)
+            return [(outcomes, values) for values in raw]
+
+        return self.fill(row, request, branches, run)
 
     def generator(self, seed: int, index: int) -> np.random.Generator:
         """A generator at the start of the stream of ``seed``'s ``index``-th child seed.
@@ -710,7 +763,38 @@ class _RowSet:
         return self._rng
 
 
-class _ExperimentRunner:
+class _Runner:
+    """What both experiment runners share: one scenario's observables and its NSIT pair."""
+
+    def __init__(self, s: Scenario):
+        self.s = s
+        self.observables = _as_observable_list(s.observable, len(s.schedule))
+
+    def _mechanism(self, measured: tuple[int, ...]) -> tuple[int, ...]:
+        """The protocol's own mechanism placement for an experiment measuring ``measured``."""
+        return tuple(sorted(self.s.config.resolved_dephase_times(measured, len(self.s.schedule))))
+
+    def experiment(
+        self,
+        measured: tuple[int, ...],
+        mechanism: tuple[int, ...] | None = None,
+        clean: bool = False,
+        key: str | None = None,
+    ) -> Any:
+        raise NotImplementedError
+
+    def nsit_pair(self) -> tuple[Any, Any]:
+        """The two-time NSIT experiment pair on the first two schedule times."""
+        mech = self._mechanism((1, 2))
+        pair = self.experiment((1, 2), mechanism=mech, key="nsit:12")
+        # The companion run makes no measurement at t1, so it carries no
+        # clumsiness; the diagonalization mechanism stays in place.
+        companion_key = "nsit:2" + ("" if not mech else "_blind" + _times_name(mech))
+        companion = self.experiment((2,), mechanism=mech, clean=True, key=companion_key)
+        return pair, companion
+
+
+class _ExperimentRunner(_Runner):
     """Runs and caches the independent experiments one row's scenario needs.
 
     Every sampled experiment draws its own child seed from the scenario seed
@@ -720,14 +804,14 @@ class _ExperimentRunner:
     """
 
     def __init__(self, rows: _RowSet, row: int):
+        super().__init__(rows.scenario(row))
         self.rows = rows
         self.row = row
-        self.s = rows.scenario(row)
-        self.observables = _as_observable_list(self.s.observable, len(self.s.schedule))
         self.tables: dict[str, OutcomeTable] = {}
-        # Exact probabilities per (measured, mechanism, clean): experiments
-        # under different keys (a moment's and the NSIT pair's) may share one.
-        self._exact: dict[tuple, tuple[list[tuple[int, ...]], np.ndarray]] = {}
+        # Config and exact probabilities per (measured, mechanism, clean):
+        # experiments under different keys (a moment's and the NSIT pair's)
+        # may share one.
+        self._exact: dict[tuple, tuple[ProtocolConfig, list[tuple[int, ...]], np.ndarray]] = {}
         self._draws = 0
 
     def _next_generator(self) -> np.random.Generator:
@@ -751,7 +835,7 @@ class _ExperimentRunner:
         """
         s = self.s
         if mechanism is None:
-            mechanism = tuple(sorted(s.config.resolved_dephase_times(measured, len(s.schedule))))
+            mechanism = self._mechanism(measured)
         if key is None:
             key = _times_name(measured) + ("" if not mechanism else "_blind" + _times_name(mechanism))
             if clean and not s.config.clumsiness.is_trivial:
@@ -759,29 +843,146 @@ class _ExperimentRunner:
         if key in self.tables:
             return self.tables[key]
 
-        config = _experiment_config(s, measured, mechanism, clean)
-        if config.uses_detectors and not isinstance(s.observable, DichotomicObservable):
-            raise ScenarioError("protocol: INRM modes require a dichotomic observable")
         request = (measured, mechanism, clean)
         if request not in self._exact:
-            self._exact[request] = self.rows.probabilities(self.row, request, config, self.observables)
-        outcomes, raw = self._exact[request]
+            config = _experiment_config(s, measured, mechanism, clean)
+            outcomes, raw = self.rows.probabilities(self.row, request, config, self.observables)
+            self._exact[request] = (config, outcomes, raw)
+        config, outcomes, raw = self._exact[request]
         # Detectors sit at the measured times; every INRM configuration draws
         # its own child seed.
         table = _experiment_table(outcomes, raw, self.observables, measured, config, self._next_generator)
         self.tables[key] = table
         return table
 
-    def nsit_pair(self) -> tuple[OutcomeTable, OutcomeTable]:
-        """The two-time NSIT experiment pair on the first two schedule times."""
-        s = self.s
-        mech = tuple(sorted(s.config.resolved_dephase_times((1, 2), len(s.schedule))))
-        pair = self.experiment((1, 2), mechanism=mech, key="nsit:12")
-        # The companion run makes no measurement at t1, so it carries no
-        # clumsiness; the diagonalization mechanism stays in place.
-        companion_key = "nsit:2" + ("" if not mech else "_blind" + _times_name(mech))
-        companion = self.experiment((2,), mechanism=mech, clean=True, key=companion_key)
-        return pair, companion
+
+class _TableColumns:
+    """One exact experiment's table for every row of a group.
+
+    ``outcomes`` lists the entries in the order each row's ``OutcomeTable``
+    holds them, and ``values`` is the (R, N) array of those entries.
+    """
+
+    def __init__(
+        self, slots: tuple[tuple[int, ...], ...], outcomes: list[tuple[int, ...]], values: np.ndarray
+    ):
+        self.slots = slots
+        self.outcomes = outcomes
+        self.values = values
+        self._columns = {o: k for k, o in enumerate(outcomes)}
+
+    @property
+    def arity(self) -> int:
+        return len(self.slots)
+
+    def columns(self, outcomes: Iterable[tuple[int, ...]]) -> list[int]:
+        return [self._columns[o] for o in outcomes]
+
+
+def _row_sums(columns: np.ndarray) -> list[float]:
+    """The builtin ``sum`` of each row of an (R, N) array, so its rounding is the scalar code's."""
+    return [sum(entries) for entries in columns.tolist()]
+
+
+def _table_errors(outcomes: Sequence[tuple[int, ...]], values: np.ndarray) -> list[str | None]:
+    """Per row, what validating its exact ``OutcomeTable`` raises, or ``None``."""
+    bad = ~np.isfinite(values) | (values < -ENTRY_TOL) | (values > 1.0 + ENTRY_TOL)
+    errors: list[str | None] = [None] * len(values)
+    for i in np.flatnonzero(bad.any(axis=1)):
+        j = int(np.argmax(bad[i]))
+        errors[i] = f"probability for {outcomes[j]} out of range: {float(values[i, j])!r}"
+    for i, total in enumerate(_row_sums(values)):
+        if errors[i] is None and abs(total - 1.0) > NORMALIZATION_TOL:
+            errors[i] = f"exact table must sum to 1 (got {total!r})"
+    return errors
+
+
+def _table_columns(
+    outcomes: Sequence[tuple[int, ...]],
+    raw: np.ndarray,
+    observables: Sequence[Observable],
+    measured: tuple[int, ...],
+    config: ProtocolConfig,
+) -> tuple[_TableColumns, list[str | None]]:
+    """``_experiment_table`` of an exact experiment for every row of a kernel call, and each row's error.
+
+    The entries are the kernel's columns, cleaned as ``_clean_probs`` cleans
+    them, in the table's own order: product order, or for INRM modes the
+    merged couplings order.
+    """
+    if config.uses_detectors:
+        labels = observables[measured[0] - 1].outcomes
+        order = [
+            survivors + (s,)
+            for survivors in itertools.product((-1, 1), repeat=len(measured) - 1)
+            for s in labels
+        ]
+        column = {o: k for k, o in enumerate(outcomes)}
+        raw = raw[:, [column[o] for o in order]]
+        slots = tuple(tuple(labels) for _ in measured)
+    else:
+        order = list(outcomes)
+        slots = tuple(tuple(observables[i - 1].outcomes) for i in measured)
+    values = np.where((raw >= -ENTRY_TOL) & (raw < 0.0), 0.0, raw)
+    return _TableColumns(slots, order, values), _table_errors(order, values)
+
+
+def _marginal_columns(table: _TableColumns, keep: Sequence[int]) -> tuple[_TableColumns, list[str | None]]:
+    """``marginal_distribution`` of every row's table over the 1-based slots ``keep``, and each row's error.
+
+    Entries appear in the order the table first reaches them, and each one
+    adds its sources in table order to 0.0, as the scalar marginal does.
+    """
+    idx = [i - 1 for i in keep]
+    sources: dict[tuple[int, ...], list[int]] = {}
+    for j, outcome in enumerate(table.outcomes):
+        sources.setdefault(tuple(outcome[i] for i in idx), []).append(j)
+    order = list(sources)
+    values = np.zeros((len(table.values), len(order)))
+    for column in np.array(list(sources.values())).T:
+        values = values + table.values[:, column]
+    return _TableColumns(tuple(table.slots[i] for i in idx), order, values), _table_errors(order, values)
+
+
+class _ColumnRunner(_Runner):
+    """The exact experiments of a group of rows as columns: ``_ExperimentRunner`` for all of them at once.
+
+    The rows share a batch signature, so the first row's scenario settles
+    every experiment's configuration.  Each experiment is one kernel call
+    for the group; a row whose table fails validation keeps, in ``errors``,
+    the first message it meets in execution order.
+    """
+
+    def __init__(self, rows: _RowSet, group: Sequence[int]):
+        super().__init__(rows.scenario(group[0]))
+        self.rows = rows
+        self.group = list(group)
+        self.errors: list[str | None] = [None] * len(group)
+        self._tables: dict[tuple, _TableColumns] = {}
+
+    def fail(self, errors: Iterable[str | None]) -> None:
+        """Record each row's error unless it already has one."""
+        self.errors = [old or new for old, new in zip(self.errors, errors)]
+
+    def experiment(
+        self,
+        measured: tuple[int, ...],
+        mechanism: tuple[int, ...] | None = None,
+        clean: bool = False,
+        key: str | None = None,
+    ) -> _TableColumns:
+        """``_ExperimentRunner.experiment`` for every row; ``key`` names nothing here."""
+        if mechanism is None:
+            mechanism = self._mechanism(measured)
+        request = (measured, mechanism, clean)
+        table = self._tables.get(request)
+        if table is None:
+            config = _experiment_config(self.s, measured, mechanism, clean)
+            outcomes, raw = self.rows.columns(self.group, request, config, self.observables)
+            table, errors = _table_columns(outcomes, raw, self.observables, measured, config)
+            self.fail(errors)
+            self._tables[request] = table
+        return table
 
 
 def _one_row(
@@ -1048,14 +1249,27 @@ def sample_counts(
     shots = int(shots)
     if shots < 1:
         raise ValidationError("shots must be >= 1")
-    keys = sorted(table.probabilities)
-    probs = dict(zip(keys, _frequencies([table.prob(k) for k in keys], shots, _generator(seed))))
+    return _sampled_table(
+        table.slots, table.probabilities, shots, _generator(seed), table.slot_times
+    )
+
+
+def _sampled_table(
+    slots: tuple[tuple[int, ...], ...],
+    probs: Mapping[tuple[int, ...], float],
+    shots: int,
+    rng: np.random.Generator,
+    slot_times: tuple[int, ...] | None,
+) -> OutcomeTable:
+    """One multinomial draw over the entries ``probs``, each clamped to [0, 1], in sorted outcome order."""
+    keys = sorted(probs)
+    freqs = _frequencies([min(1.0, max(0.0, probs[k])) for k in keys], shots, rng)
     return OutcomeTable(
-        slots=table.slots,
-        probabilities=probs,
+        slots=slots,
+        probabilities=dict(zip(keys, freqs)),
         kind="empirical",
         shots=shots,
-        slot_times=table.slot_times,
+        slot_times=slot_times,
     )
 
 

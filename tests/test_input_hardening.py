@@ -82,3 +82,35 @@ def test_bad_gap_template_gives_error_rows(schedule):
     rows = run_sweep(SweepSpec({"schedule": schedule}, "schedule.gap", (1.0, 2.0)))
     assert [r["verdict"] for r in rows] == ["error", "error"]
     assert all(r["error"].startswith("schedule.gap:") for r in rows)
+
+
+@pytest.mark.parametrize("value", [12.9, 2.5, True, False, "abc", None, float("inf")])
+@pytest.mark.parametrize("name", ["shots", "seed", "dimension"])
+def test_integer_fields_reject_non_integers(name, value, tmp_path, capsys):
+    with pytest.raises(ScenarioError, match=f"^{name}: "):
+        scenario_from_dict(lg3_scenario(**{name: value}))
+    if value != float("inf"):  # JSON has no infinity
+        path = write_json(tmp_path, "lg3.json", lg3_scenario(**{name: value}))
+        assert main(["certify", path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name}: ")
+
+
+def test_shots_inside_protocol_are_named_there():
+    with pytest.raises(ScenarioError, match=r"^protocol\.shots: must be an integer, got 12\.9"):
+        data = lg3_scenario(protocol={"mode": "projective", "shots": 12.9})
+        del data["shots"]
+        scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("name, value", [("shots", 1000), ("shots", 1000.0), ("seed", 7), ("seed", 7.0),
+                                         ("dimension", 2), ("dimension", 2.0)])
+def test_integral_values_are_accepted(name, value):
+    scenario = scenario_from_dict(lg3_scenario(**{name: value}))
+    assert getattr(scenario, name) == value and type(getattr(scenario, name)) is int
+
+
+def test_non_integral_sweep_values_become_error_rows():
+    rows = run_sweep(SweepSpec(lg3_scenario(shots=100), "shots", (100, 12.9, True)))
+    assert [r["error"] for r in rows] == [
+        "", "shots: must be an integer, got 12.9", "shots: must be an integer, got True"
+    ]

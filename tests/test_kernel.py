@@ -24,6 +24,7 @@ from lgcert.protocols import (
     Schedule,
     _blind_stack,
     _clean_probs,
+    _clumsy_stack,
     assemble_inrm,
     blind_measurement_via_ancilla,
     experiment_distribution,
@@ -296,3 +297,21 @@ def test_one_eigendecomposition_per_hamiltonian(mode, kick, monkeypatch):
     report = run_certification(scenario_from_dict(data))
     assert len(report["experiments"]) > 10
     assert len(calls) == (2 if kick else 1)
+
+
+@pytest.mark.parametrize("kick", [False, True], ids=["depolarizing", "unitary_kick"])
+@pytest.mark.parametrize("d", [2, 4, 16])
+def test_clumsiness_broadcast_is_bitwise_the_per_matrix_loop(d, kick):
+    rng = np.random.default_rng([d, kick])
+    generator = random_hermitian(rng, d)
+    for rows, b in ((1, 1), (3, 4), (5, 2)):
+        strengths = rng.uniform(0.0, 1.0, size=rows)
+        models = [
+            ClumsinessModel.unitary_kick(eps, generator) if kick else ClumsinessModel.depolarizing(eps)
+            for eps in strengths
+        ]
+        stack = np.resize(_branch_stack(rng, random_dichotomic(rng, d), d, 1), (rows, b, d, d))
+        loop = np.array(
+            [apply_clumsiness_matrix(m, models[i // b]) for i, m in enumerate(stack.reshape(-1, d, d))]
+        )
+        assert _clumsy_stack(stack, models).tobytes() == loop.reshape(stack.shape).tobytes()

@@ -11,6 +11,15 @@ and not others, a trivial clumsiness strength that splits the rows into
 two kernel groups, unitary kicks, rows that share nothing (a mode sweep), a
 dimension sweep over presets, which must not reuse the template's parsed
 objects, and a template that is invalid while its rows are valid.
+
+Exact rows are certified as columns, one group of rows at a time, so further
+exact sweeps reach every columnar branch: four times with LG4, NONNEG3 and
+NONNEG4; APPENDIX, whose A-WBOUND entries appear on some rows only; moments
+derived from one table, in INRM modes; exact INRM; many-valued observables
+with NSIT, NSIT3 and MONO; checks sweeps, whose rows share a batch
+signature but not their checks; and a state whose small-gap tables fail
+validation.  The column path's validation is checked against the tables'
+own, and it builds no per-row table at all.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import numpy as np
 import pytest
 
 from lgcert.cli import SweepSpec, run_certification, run_sweep, scenario_from_dict
-from lgcert.protocols import MODES
+from lgcert.protocols import MODES, OutcomeTable, _table_errors
 from lgcert.qcore import ValidationError, matrix_to_json
 
 from conftest import random_density_matrix, random_dichotomic, random_hermitian
@@ -59,6 +68,21 @@ def random_template(seed, d, mode, checks, clumsiness=None, m=3):
 
 def with_protocol(template, **protocol):
     return dict(template, protocol=dict(template["protocol"], **protocol))
+
+
+def many_valued_template(seed, d, mode, checks):
+    """A random template whose observable has d outcomes, labelled out of order, in a random basis."""
+    template = random_template(seed, d, mode, checks)
+    basis, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(d, d)))
+    projectors = [matrix_to_json(np.outer(basis[:, k], basis[:, k])) for k in range(d)]
+    labels = [3 * k - 2 for k in range(d)][::-1]
+    return dict(template, observable={"projectors": projectors, "labels": labels})
+
+
+# A state with an eigenvalue of -5e-11, inside the density-operator tolerance:
+# at small gaps an entry of its exact table leaves [0, 1] by more than 1e-12,
+# so those rows fail validation while the others run.
+NEARLY_PSD_STATE = [[[1.0 + 5e-11, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-5e-11, 0.0]]]
 
 
 # Finite-shot rows share child seeds and generator states within a sweep unless
@@ -107,6 +131,52 @@ SWEEPS = {
     "dimension": (README_SCENARIO, "dimension", [2, 4, 2]),
     "invalid-template-gap": (
         dict(README_SCENARIO, schedule=[2.0, 1.0, 3.0]), "schedule.gap", [0.4, 0.8, 1.6],
+    ),
+    # Exact rows are certified as columns; these reach every columnar branch.
+    "m4-lg4-nonneg": (
+        random_template(6, 4, "projective_dephased",
+                        ["LG4", "NONNEG3", "NONNEG4", "LG3", "LG2", "NSIT3"], m=4),
+        "schedule.gap", [0.3, 0.55, 0.8, 1.05, -0.2, 1.3],
+    ),
+    "appendix-wbound-some-rows": (
+        random_template(3, 2, "projective", ["APPENDIX", "LG3", "NSIT", "MONO"]),
+        "schedule.gap", [0.2, 0.5, 0.9, 1.3, 1.7, 2.1, 2.6, 3.0],
+    ),
+    "derive-inrm-strength": (
+        dict(random_template(7, 2, "inrm", ["LG3", "LG2", "NONNEG3", "NSIT", "MONO"]),
+             derive_lower_moments=True),
+        "protocol.clumsiness.strength", [0.0, 0.05, 0.3, 0.05, 0.8],
+    ),
+    "derive-m4-inrm-dephased": (
+        dict(random_template(8, 4, "inrm_dephased", ["NONNEG4", "LG4", "NSIT", "NSIT3"], m=4),
+             derive_lower_moments=True),
+        "schedule.gap", [0.25, 0.5, 0.75, 1.0],
+    ),
+    "inrm-exact-gap": (
+        with_protocol(README_SCENARIO, mode="inrm", clumsiness={"kind": "depolarizing", "strength": 0.1}),
+        "schedule.gap", [0.3, 0.7, 1.1, -0.4, 1.5, 0.7],
+    ),
+    "many-valued-gap": (
+        many_valued_template(9, 3, "ancilla_blind", ["NSIT", "NSIT3", "MONO"]),
+        "schedule.gap", [0.3, 0.6, 0.9, 1.2],
+    ),
+    "many-valued-checks": (
+        many_valued_template(10, 3, "projective", ["NSIT", "MONO"]),
+        "checks", [["NSIT", "LG3", "MONO"], ["NSIT", "MONO"], ["APPENDIX"], ["MONO"]],
+    ),
+    "many-valued-mode": (
+        many_valued_template(10, 3, "projective", ["NSIT", "MONO"]),
+        "protocol.mode", ["projective", "inrm", "projective_dephased", "projective"],
+    ),
+    "checks": (
+        random_template(11, 2, "projective_dephased", ["LG3"]),
+        "checks",
+        [["LG3"], ["LG3", "NSIT"], ["MONO", "LG2"], ["LG3"], ["LG4", "NSIT"], ["NSIT3", "APPENDIX"],
+         [], ["NONNEG3", "LG3", "NSIT"], ["BOGUS"]],
+    ),
+    "invalid-exact-table": (
+        dict(README_SCENARIO, initial_state=NEARLY_PSD_STATE, checks=["LG3", "NSIT", "MONO"]),
+        "schedule.gap", [1e-6, 0.3, 2e-6, 1.0, 1e-7, 1.4],
     ),
 }
 
@@ -160,3 +230,61 @@ def test_one_eigendecomposition_per_sweep(name, monkeypatch):
     rows = run_sweep(SweepSpec(template=template, parameter=parameter, values=tuple(values)))
     assert sum(r["verdict"] != "error" for r in rows) >= 3
     assert len(calls) == 1
+
+
+def test_exact_gap_sweep_builds_no_outcome_tables(monkeypatch):
+    built = []
+    post_init = OutcomeTable.__post_init__
+
+    def counted(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(OutcomeTable, "__post_init__", counted)
+    gaps = tuple(0.05 + 0.05 * k for k in range(64))
+    rows = run_sweep(SweepSpec(template=README_SCENARIO, parameter="schedule.gap", values=gaps))
+    assert all(r["verdict"] == "violations" for r in rows)
+    assert len(built) == 0
+
+
+def test_group_rows_keep_their_first_error():
+    # Small gaps fail table validation at the first moment's experiment; the
+    # other row reaches the moment step, where the observable's labels fail.
+    template = dict(
+        README_SCENARIO,
+        initial_state=NEARLY_PSD_STATE,
+        observable={"projectors": [matrix_to_json(np.diag([1.0, 0.0])),
+                                   matrix_to_json(np.diag([0.0, 1.0]))], "labels": [1, 2]},
+        checks=["NSIT", "LG3"],
+    )
+    values = [1e-6, 0.5, 2e-6]
+    rows = run_sweep(SweepSpec(template=template, parameter="schedule.gap", values=tuple(values)))
+    assert [bits(r) for r in rows] == [bits(own_row(template, "schedule.gap", v)) for v in values]
+    assert [r["error"].split(" ")[0] for r in rows] == ["probability", "moment", "probability"]
+
+
+def table_error(outcomes, entries):
+    try:
+        OutcomeTable(slots=((1, -1), (1, -1)), probabilities=dict(zip(outcomes, entries)))
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def test_column_validation_raises_what_each_table_would():
+    rng = np.random.default_rng(12)
+    outcomes = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    values = rng.dirichlet(np.ones(4), size=40)
+    values[1, 2] = -1e-11
+    values[2] = [1.0 + 2e-12, 0.0, 0.0, 0.0]
+    values[3, 3] = np.nan
+    values[4, 1] = -np.inf
+    values[5] *= 1.0 + 3e-10
+    values[6] *= 1.0 - 3e-10
+    values[7] *= 1.0 + 5e-11
+    values[8] = [-2e-12, 0.5, 0.5, 2e-12]
+    values[9] = [-5e-13, 0.5, 0.5, 5e-13]
+    expected = [table_error(outcomes, row) for row in values.tolist()]
+    assert [i for i, e in enumerate(expected) if e] == [1, 2, 3, 4, 5, 6, 8]
+    assert {e.split(" ")[0] for e in expected if e} == {"probability", "exact"}
+    assert _table_errors(outcomes, values) == expected
