@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -93,6 +93,123 @@ def moment_keys(n: int) -> list[tuple[int, ...]]:
     return keys
 
 
+# Each validation rule and each condition's formula has one owner, which both
+# the scalar checks and the column evaluators of exact sweep rows call.  The
+# formulas take moments as floats or as arrays with one entry per row, and do
+# the same IEEE operations in the same order on either.
+
+
+def _moment_error(key: tuple[int, ...], v: float) -> str | None:
+    """Why a moment value is invalid, or ``None``."""
+    if not math.isfinite(v) or abs(v) > 1.0 + 1e-9:
+        return f"moment {key} must lie in [-1, 1], got {v!r}"
+    return None
+
+
+def _candidate_sum_error(total: float) -> str | None:
+    """Why candidate entries summing to ``total`` are invalid, or ``None``."""
+    return f"candidate entries must sum to 1, got {total!r}" if abs(total - 1.0) > 1e-10 else None
+
+
+def _require_dichotomic(key: tuple[int, ...], slots: Sequence[tuple[int, ...]]) -> None:
+    for slot in slots:
+        if set(slot) != {1, -1}:
+            raise ValidationError(f"moment {key} needs dichotomic (+1/-1) outcome tables")
+
+
+def _require_nsit_slots(marginal: tuple, reduced: tuple) -> None:
+    """The marginalized full table of an NSIT witness must have the reduced table's slots."""
+    if marginal != reduced:
+        raise ValidationError(
+            f"reduced table arity/labels {reduced} do not match the marginalized full table {marginal}"
+        )
+
+
+def _monotonicity_head(full: tuple, reduced: tuple) -> int:
+    """How many leading slots of the full table a monotonicity check sums over, given both tables' slots."""
+    k = len(full) - len(reduced)
+    if k < 1:
+        raise ValidationError("full table must have more slots than the reduced table")
+    if full[k:] != reduced:
+        raise ValidationError("reduced table must match the trailing slots of the full table")
+    return k
+
+
+def _signed_sum(entries: Iterable[tuple[tuple[int, ...], Any]]):
+    """The sum of each entry times its outcome's sign product, added in the given order."""
+    value = 0.0
+    for outcome, p in entries:
+        value = value + math.prod(outcome) * p
+    return value
+
+
+def _holds(margin, tol: float = VERDICT_TOL):
+    """Whether a condition with this margin is satisfied; elementwise on arrays."""
+    return margin >= -tol
+
+
+def _invasive(max_abs, threshold: float = VERDICT_TOL):
+    """Whether an exact NSIT witness with this largest defect shows invasiveness; elementwise on arrays."""
+    return max_abs > threshold
+
+
+_LG3_COMBOS = ((1, 1, 1), (-1, -1, 1), (1, -1, -1), (-1, 1, -1))
+_LG2_PAIRS = ((1, 2), (2, 3), (1, 3))
+_LG2_PATTERNS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
+_LG4_PAIRS = ((1, 2), (2, 3), (3, 4), (1, 4))
+
+
+def _lg3_margins(c) -> list[tuple[str, Any]]:
+    """The four three-time LG conditions' ids and margins from C12, C23 and C13."""
+    return [
+        (f"LG3-{idx}", 1.0 + a * c[(1, 2)] + b * c[(2, 3)] + d * c[(1, 3)])
+        for idx, (a, b, d) in enumerate(_LG3_COMBOS, start=1)
+    ]
+
+
+def _lg2_margins(m, i: int, j: int) -> list[tuple[str, Any]]:
+    """The four two-time LG conditions' ids and margins on times i < j."""
+    return [
+        (f"LG2-{i}{j}-{idx}", 1.0 + si * m[(i,)] + sj * m[(j,)] + si * sj * m[(i, j)])
+        for idx, (si, sj) in enumerate(_LG2_PATTERNS, start=1)
+    ]
+
+
+def _lg4_margins(m, total: Callable = sum) -> list[tuple[str, Any]]:
+    """The eight four-time LG conditions' ids and margins; ``total`` adds a list of four terms as ``sum`` does."""
+    results = []
+    for negated in _LG4_PAIRS:
+        combo = total([(-1.0 if key == negated else 1.0) * m[key] for key in _LG4_PAIRS])
+        for sign in (-1.0, 1.0):
+            results.append((f"LG4-{len(results) + 1}", 2.0 + sign * combo))
+    return results
+
+
+def _candidate_entries(m, n: int) -> dict[tuple[int, ...], Any]:
+    """p(s) = 2^-n (1 + sum over index tuples of the moment times the sign product), per sign tuple."""
+    keys = moment_keys(n)
+    values = {}
+    for signs in itertools.product((1, -1), repeat=n):
+        acc = 1.0
+        for key in keys:
+            sign = 1
+            for i in key:
+                sign *= signs[i - 1]
+            acc = acc + sign * m[key]
+        values[signs] = acc / (2**n)
+    return values
+
+
+def _monotonicity_order(outcomes: Iterable[tuple[int, ...]]) -> list[tuple[str, tuple[int, ...]]]:
+    """The monotonicity conditions' ids and full-table outcomes, in descending outcome order."""
+    return [(f"MONO-({_sign_str(o)})", o) for o in sorted(outcomes, reverse=True)]
+
+
+def _nonnegativity_margins(values: Mapping[tuple[int, ...], Any]) -> list[tuple[str, Any]]:
+    """One non-negativity condition per candidate entry: its id and the entry, in descending sign order."""
+    return [(f"NONNEG-({_sign_str(signs)})", values[signs]) for signs in sorted(values, reverse=True)]
+
+
 @dataclass(frozen=True)
 class MomentSet:
     """Measured moments of a dichotomic variable at n times.
@@ -119,8 +236,9 @@ class MomentSet:
                     f"moment index {key} must be strictly increasing within 1..{n}"
                 )
             v = float(v)
-            if not np.isfinite(v) or abs(v) > 1.0 + 1e-9:
-                raise ValidationError(f"moment {key} must lie in [-1, 1], got {v!r}")
+            error = _moment_error(key, v)
+            if error is not None:
+                raise ValidationError(error)
             values[key] = v
         variances = {tuple(int(i) for i in k): float(w) for k, w in dict(self.variances).items()}
         unknown = set(variances) - set(values)
@@ -168,9 +286,9 @@ class CandidateProbability:
         expected = set(itertools.product((1, -1), repeat=n))
         if set(values) != expected:
             raise ValidationError("candidate must cover every sign tuple")
-        total = sum(values.values())
-        if abs(total - 1.0) > 1e-10:
-            raise ValidationError(f"candidate entries must sum to 1, got {total!r}")
+        error = _candidate_sum_error(sum(values.values()))
+        if error is not None:
+            raise ValidationError(error)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", values)
 
@@ -241,8 +359,7 @@ class WitnessReport:
 
 
 def _verdict(margin: float, stderr: float | None) -> str:
-    tol = 3.0 * stderr if stderr else VERDICT_TOL
-    return "satisfied" if margin >= -tol else "violated"
+    return "satisfied" if _holds(margin, 3.0 * stderr if stderr else VERDICT_TOL) else "violated"
 
 
 def _result(condition: str, margin: float, variance: float) -> ConditionResult:
@@ -260,18 +377,11 @@ def _moment_from_table(key: tuple[int, ...], table: OutcomeTable) -> tuple[float
         raise ValidationError(
             f"table for moment {key} must have {len(key)} slots, got {table.arity}"
         )
-    for slot in table.slots:
-        if set(slot) != {1, -1}:
-            raise ValidationError(f"moment {key} needs dichotomic (+1/-1) outcome tables")
-    value = 0.0
+    _require_dichotomic(key, table.slots)
     variance = 0.0
-    for outcome, p in table.probabilities.items():
-        sign = 1
-        for s in outcome:
-            sign *= s
-        value += sign * p
+    for outcome in table.probabilities:
         variance += table.entry_variance(outcome)
-    return value, variance
+    return _signed_sum(table.probabilities.items()), variance
 
 
 def moments_from_tables(
@@ -338,25 +448,13 @@ def candidate_probability(m: MomentSet) -> CandidateProbability:
     if missing:
         raise ValidationError(f"candidate probability needs all moments fixed; missing {missing}")
     n = m.n
-    values: dict[tuple[int, ...], float] = {}
-    for signs in itertools.product((1, -1), repeat=n):
-        acc = 1.0
-        for key in moment_keys(n):
-            sign = 1
-            for i in key:
-                sign *= signs[i - 1]
-            acc += sign * m[key]
-        values[signs] = acc / (2**n)
     entry_variance = sum(m.variance(k) for k in moment_keys(n)) / (4**n)
-    return CandidateProbability(n=n, values=values, entry_variance=entry_variance)
+    return CandidateProbability(n=n, values=_candidate_entries(m, n), entry_variance=entry_variance)
 
 
 # ---------------------------------------------------------------------------
 # Leggett-Garg inequality checks
 # ---------------------------------------------------------------------------
-
-_LG2_PATTERNS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
-
 
 def check_lg3(m: MomentSet) -> InequalityReport:
     """The four three-time LG inequalities on C12, C23, C13."""
@@ -367,12 +465,7 @@ def check_lg3(m: MomentSet) -> InequalityReport:
             raise ValidationError(f"three-time LG check needs correlator C{key[0]}{key[1]}")
         c[key] = m[key]
     var = sum(m.variance(key) for key in pairs)
-    combos = ((1, 1, 1), (-1, -1, 1), (1, -1, -1), (-1, 1, -1))
-    entries = []
-    for idx, (a, b, d) in enumerate(combos, start=1):
-        margin = 1.0 + a * c[(1, 2)] + b * c[(2, 3)] + d * c[(1, 3)]
-        entries.append(_result(f"LG3-{idx}", margin, var))
-    return InequalityReport(tuple(entries))
+    return InequalityReport(tuple(_result(name, margin, var) for name, margin in _lg3_margins(c)))
 
 
 def check_lg2(m: MomentSet) -> InequalityReport:
@@ -382,39 +475,26 @@ def check_lg2(m: MomentSet) -> InequalityReport:
         if not m.is_fixed(key):
             raise ValidationError(f"two-time LG check needs moment {key}")
     entries = []
-    for i, j in ((1, 2), (2, 3), (1, 3)):
+    for i, j in _LG2_PAIRS:
         var = m.variance((i,)) + m.variance((j,)) + m.variance((i, j))
-        for idx, (si, sj) in enumerate(_LG2_PATTERNS, start=1):
-            margin = 1.0 + si * m[(i,)] + sj * m[(j,)] + si * sj * m[(i, j)]
-            entries.append(_result(f"LG2-{i}{j}-{idx}", margin, var))
+        entries.extend(_result(name, margin, var) for name, margin in _lg2_margins(m, i, j))
     return InequalityReport(tuple(entries))
 
 
 def check_lg4(m: MomentSet) -> InequalityReport:
     """The eight four-time CHSH-type LG inequalities on C12, C23, C34, C14."""
-    pairs = ((1, 2), (2, 3), (3, 4), (1, 4))
-    for key in pairs:
+    for key in _LG4_PAIRS:
         if not m.is_fixed(key):
             raise ValidationError(f"four-time LG check needs correlator C{key[0]}{key[1]}")
-    var = sum(m.variance(key) for key in pairs)
-    entries = []
-    idx = 1
-    for negated in pairs:
-        combo = sum((-1.0 if key == negated else 1.0) * m[key] for key in pairs)
-        for sign in (-1.0, 1.0):
-            entries.append(_result(f"LG4-{idx}", 2.0 + sign * combo, var))
-            idx += 1
-    return InequalityReport(tuple(entries))
+    var = sum(m.variance(key) for key in _LG4_PAIRS)
+    return InequalityReport(tuple(_result(name, margin, var) for name, margin in _lg4_margins(m)))
 
 
 def check_nonnegativity(c: CandidateProbability) -> InequalityReport:
     """One margin per sign tuple: the candidate entry itself."""
-    entries = []
-    for signs in sorted(c.values, reverse=True):
-        entries.append(
-            _result(f"NONNEG-({_sign_str(signs)})", c.values[signs], c.entry_variance)
-        )
-    return InequalityReport(tuple(entries))
+    return InequalityReport(
+        tuple(_result(name, entry, c.entry_variance) for name, entry in _nonnegativity_margins(c.values))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +522,7 @@ def check_nsit(
     if not keep:
         raise ValidationError("cannot marginalize every slot of the full table")
     marg = marginal_distribution(full, keep)
-    if marg.slots != reduced.slots:
-        raise ValidationError(
-            f"reduced table arity/labels {reduced.slots} do not match the marginalized full table {marg.slots}"
-        )
+    _require_nsit_slots(marg.slots, reduced.slots)
     empirical = full.kind == "empirical" or reduced.kind == "empirical"
     defects: dict[tuple[int, ...], float] = {}
     stderrs: dict[tuple[int, ...], float] = {}
@@ -463,7 +540,7 @@ def check_nsit(
     if empirical:
         invasive = any(abs(w) > 3.0 * stderrs[o] for o, w in defects.items())
     else:
-        invasive = max_abs > threshold
+        invasive = _invasive(max_abs, threshold)
     if condition is None:
         if full.slot_times and reduced.slot_times:
             condition = "NSIT-({};{})".format(
@@ -491,17 +568,13 @@ def check_monotonicity(full: OutcomeTable, reduced: OutcomeTable) -> InequalityR
     expects every sequential probability to be dominated by the later-times
     probability measured on its own.
     """
-    k = full.arity - reduced.arity
-    if k < 1:
-        raise ValidationError("full table must have more slots than the reduced table")
-    if full.slots[k:] != reduced.slots:
-        raise ValidationError("reduced table must match the trailing slots of the full table")
+    k = _monotonicity_head(full.slots, reduced.slots)
     entries = []
-    for outcome in sorted(full.probabilities, reverse=True):
+    for name, outcome in _monotonicity_order(full.probabilities):
         tail = outcome[k:]
         margin = reduced.raw(tail) - full.raw(outcome)
         variance = reduced.entry_variance(tail) + full.entry_variance(outcome)
-        entries.append(_result(f"MONO-({_sign_str(outcome)})", margin, variance))
+        entries.append(_result(name, margin, variance))
     return InequalityReport(tuple(entries))
 
 
@@ -645,14 +718,17 @@ class _Block:
 
 def _condition_block(ids: list[str], margins: np.ndarray) -> _Block:
     """Conditions with shared ids from an (R, K) margin array, judged as ``_result`` judges exact margins."""
-    return _Block([ids] * len(margins), margins.tolist(), (margins >= -VERDICT_TOL).all(axis=1).tolist())
+    return _Block([ids] * len(margins), margins.tolist(), _holds(margins).all(axis=1).tolist())
+
+
+def _margin_block(results: Sequence[tuple[str, np.ndarray]]) -> _Block:
+    """``_condition_block`` of (id, margin column) pairs."""
+    return _condition_block([name for name, _ in results], np.stack([v for _, v in results], axis=1))
 
 
 def _witness_block(ids: list[str], max_abs: np.ndarray) -> _Block:
     """Exact NSIT witnesses from an (R, K) array of ``max_abs``, judged as ``check_nsit`` judges them."""
-    return _Block(
-        [ids] * len(max_abs), max_abs.tolist(), (~(max_abs > VERDICT_TOL).any(axis=1)).tolist(), True
-    )
+    return _Block([ids] * len(max_abs), max_abs.tolist(), (~_invasive(max_abs).any(axis=1)).tolist(), True)
 
 
 @dataclass(frozen=True)
@@ -716,49 +792,24 @@ def _appendix_entries(s) -> tuple[ConditionResult, ...]:
 
 
 def _lg3_columns(runner: _ColumnRunner, m: dict[tuple[int, ...], np.ndarray]) -> _Block:
-    combos = ((1, 1, 1), (-1, -1, 1), (1, -1, -1), (-1, 1, -1))
-    margins = [1.0 + a * m[(1, 2)] + b * m[(2, 3)] + d * m[(1, 3)] for a, b, d in combos]
-    return _condition_block([f"LG3-{idx}" for idx in range(1, 5)], np.stack(margins, axis=1))
+    return _margin_block(_lg3_margins(m))
 
 
 def _lg2_columns(runner: _ColumnRunner, m: dict[tuple[int, ...], np.ndarray]) -> _Block:
-    ids, margins = [], []
-    for i, j in ((1, 2), (2, 3), (1, 3)):
-        for idx, (si, sj) in enumerate(_LG2_PATTERNS, start=1):
-            ids.append(f"LG2-{i}{j}-{idx}")
-            margins.append(1.0 + si * m[(i,)] + sj * m[(j,)] + si * sj * m[(i, j)])
-    return _condition_block(ids, np.stack(margins, axis=1))
+    return _margin_block([result for i, j in _LG2_PAIRS for result in _lg2_margins(m, i, j)])
 
 
 def _lg4_columns(runner: _ColumnRunner, m: dict[tuple[int, ...], np.ndarray]) -> _Block:
-    pairs = ((1, 2), (2, 3), (3, 4), (1, 4))
-    margins = []
-    for negated in pairs:
-        terms = np.stack([(-1.0 if key == negated else 1.0) * m[key] for key in pairs], axis=1)
-        combo = np.array(_row_sums(terms))
-        margins.extend(2.0 + sign * combo for sign in (-1.0, 1.0))
-    return _condition_block([f"LG4-{idx}" for idx in range(1, 9)], np.stack(margins, axis=1))
+    return _margin_block(_lg4_margins(m, lambda terms: np.array(_row_sums(np.stack(terms, axis=1)))))
 
 
 def _nonnegativity_columns(
     runner: _ColumnRunner, m: dict[tuple[int, ...], np.ndarray], n: int
 ) -> _Block:
     """``_nonnegativity``: the candidate entries, their sum check, then one margin per entry."""
-    entries = {}
-    for signs in itertools.product((1, -1), repeat=n):
-        acc = 1.0
-        for key in moment_keys(n):
-            acc = acc + math.prod(signs[i - 1] for i in key) * m[key]
-        entries[signs] = acc / (2**n)
-    totals = _row_sums(np.stack(list(entries.values()), axis=1))
-    runner.fail(
-        f"candidate entries must sum to 1, got {total!r}" if abs(total - 1.0) > 1e-10 else None
-        for total in totals
-    )
-    order = sorted(entries, reverse=True)
-    return _condition_block(
-        [f"NONNEG-({_sign_str(signs)})" for signs in order], np.stack([entries[s] for s in order], axis=1)
-    )
+    entries = _candidate_entries(m, n)
+    runner.fail(_candidate_sum_error(total) for total in _row_sums(np.stack(list(entries.values()), axis=1)))
+    return _margin_block(_nonnegativity_margins(entries))
 
 
 def _nsit_columns(
@@ -768,10 +819,7 @@ def _nsit_columns(
     keep = [i for i in range(1, full.arity + 1) if i not in marginalize_over]
     marg, errors = _marginal_columns(full, keep)
     runner.fail(errors)
-    if marg.slots != reduced.slots:
-        raise ValidationError(
-            f"reduced table arity/labels {reduced.slots} do not match the marginalized full table {marg.slots}"
-        )
+    _require_nsit_slots(marg.slots, reduced.slots)
     defects = reduced.values[:, reduced.columns(marg.outcomes)] - marg.values
     return np.abs(defects).max(axis=1)
 
@@ -779,16 +827,12 @@ def _nsit_columns(
 def _monotonicity_columns(runner: _ColumnRunner, m) -> _Block:
     """``check_monotonicity`` on the NSIT pair, for every row."""
     full, reduced = runner.nsit_pair()
-    k = full.arity - reduced.arity
-    if k < 1:
-        raise ValidationError("full table must have more slots than the reduced table")
-    if full.slots[k:] != reduced.slots:
-        raise ValidationError("reduced table must match the trailing slots of the full table")
-    order = sorted(full.outcomes, reverse=True)
+    k = _monotonicity_head(full.slots, reduced.slots)
+    ids, order = zip(*_monotonicity_order(full.outcomes))
     margins = (
         reduced.values[:, reduced.columns(o[k:] for o in order)] - full.values[:, full.columns(order)]
     )
-    return _condition_block([f"MONO-({_sign_str(o)})" for o in order], margins)
+    return _condition_block(list(ids), margins)
 
 
 def _nsit2_columns(runner: _ColumnRunner, m) -> _Block:
@@ -890,12 +934,8 @@ def _certify(
 
 def _moment_column(key: tuple[int, ...], table: _TableColumns) -> np.ndarray:
     """``_moment_from_table``'s clamped value for every row: signed entries added in table order."""
-    for slot in table.slots:
-        if set(slot) != {1, -1}:
-            raise ValidationError(f"moment {key} needs dichotomic (+1/-1) outcome tables")
-    value = np.zeros(len(table.values))
-    for outcome, column in zip(table.outcomes, table.values.T):
-        value = value + column if math.prod(outcome) > 0 else value - column
+    _require_dichotomic(key, table.slots)
+    value = _signed_sum(zip(table.outcomes, table.values.T))
     value = np.where(value > -1.0, value, -1.0)  # min(1.0, max(-1.0, value)), NaN and all
     return np.where(value < 1.0, value, 1.0)
 
@@ -918,12 +958,7 @@ def _moment_columns(
         sources = {times: runner.experiment(times) for times in moment_times}
     moments = {key: _moment_column(key, table) for key, table in sources.items()}
     for key, value in moments.items():
-        runner.fail(
-            f"moment {key} must lie in [-1, 1], got {v!r}"
-            if not math.isfinite(v) or abs(v) > 1.0 + 1e-9
-            else None
-            for v in value.tolist()
-        )
+        runner.fail(_moment_error(key, v) for v in value.tolist())
     return moments
 
 

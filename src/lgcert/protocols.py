@@ -42,6 +42,7 @@ from .qcore import (
     ManyValuedObservable,
     Observable,
     ValidationError,
+    _require_same_dim,
     dephase_matrix,
     evolve_matrix,
     unitary_for,
@@ -176,6 +177,25 @@ def _outcome_product(slots: tuple[tuple[int, ...], ...]) -> frozenset[tuple[int,
     return frozenset(itertools.product(*slots))
 
 
+# Each table validation rule has one owner, which both the tables and the
+# column path of exact sweep rows (``_table_errors``) call.
+
+
+def _entry_in_range(p):
+    """Whether a table entry lies in [0, 1] up to ``ENTRY_TOL`` (NaN does not); elementwise on arrays."""
+    return (p >= -ENTRY_TOL) & (p <= 1.0 + ENTRY_TOL)
+
+
+def _entry_error(outcome: tuple[int, ...], p: float) -> str:
+    """Why a table entry that is not ``_entry_in_range`` is invalid."""
+    return f"probability for {outcome} out of range: {p!r}"
+
+
+def _sum_error(total: float) -> str | None:
+    """Why an exact table whose entries sum to ``total`` is invalid, or ``None``."""
+    return f"exact table must sum to 1 (got {total!r})" if abs(total - 1.0) > NORMALIZATION_TOL else None
+
+
 @dataclass(frozen=True)
 class OutcomeTable:
     """Probability distribution over outcome tuples of a measurement run.
@@ -208,12 +228,12 @@ class OutcomeTable:
                 f"probabilities must cover exactly the outcome product (missing {missing[:4]}, extra {extra[:4]})"
             )
         for k, p in probs.items():
-            if not math.isfinite(p) or p < -ENTRY_TOL or p > 1.0 + ENTRY_TOL:
-                raise ValidationError(f"probability for {k} out of range: {p!r}")
+            if not _entry_in_range(p):
+                raise ValidationError(_entry_error(k, p))
         if self.kind == "exact":
-            total = sum(probs.values())
-            if abs(total - 1.0) > NORMALIZATION_TOL:
-                raise ValidationError(f"exact table must sum to 1 (got {total!r})")
+            error = _sum_error(sum(probs.values()))
+            if error is not None:
+                raise ValidationError(error)
         if self.slot_times is not None:
             st = tuple(int(i) for i in self.slot_times)
             if len(st) != len(slots):
@@ -383,6 +403,8 @@ def _clumsy_stack(stack: np.ndarray, clumsiness: Sequence[ClumsinessModel]) -> n
     """
     d = stack.shape[-1]
     if clumsiness[0].kind == "unitary_kick":
+        # the rows of a batch share their generators' shape (``_batch_signature``)
+        _require_same_dim(d, clumsiness[0].generator.shape[0], "apply_clumsiness")
         kicks = np.array([c.kick_unitary for c in clumsiness])[:, None]
         return kicks @ stack @ kicks.conj().swapaxes(-1, -2)
     eps = np.array([c.strength for c in clumsiness])[:, None]
@@ -526,7 +548,12 @@ def _experiment_table(
     generators drawn from ``next_generator``: one for a directly sampled
     table, which is drawn from the cleaned entries as ``sample_counts``
     would draw from their exact table, one per INRM configuration in
-    couplings product order.  Only the sampled table is validated.
+    couplings product order.  Only the sampled table is validated: the
+    sampling clamps each exact entry to [0, 1] and renormalises, so an
+    experiment whose exact table would fail validation (an entry out of
+    range by more than ``ENTRY_TOL``, a sum off 1 by more than
+    ``NORMALIZATION_TOL``) still samples, at finite shots, where its exact
+    row is an error.
     """
     probs = dict(zip(outcomes, raw.tolist()))
     if not config.uses_detectors:
@@ -885,15 +912,15 @@ def _row_sums(columns: np.ndarray) -> list[float]:
 
 
 def _table_errors(outcomes: Sequence[tuple[int, ...]], values: np.ndarray) -> list[str | None]:
-    """Per row, what validating its exact ``OutcomeTable`` raises, or ``None``."""
-    bad = ~np.isfinite(values) | (values < -ENTRY_TOL) | (values > 1.0 + ENTRY_TOL)
+    """Per row, what validating its exact ``OutcomeTable`` raises, or ``None``: the first bad entry, then the sum."""
+    bad = ~_entry_in_range(values)
     errors: list[str | None] = [None] * len(values)
     for i in np.flatnonzero(bad.any(axis=1)):
         j = int(np.argmax(bad[i]))
-        errors[i] = f"probability for {outcomes[j]} out of range: {float(values[i, j])!r}"
+        errors[i] = _entry_error(outcomes[j], float(values[i, j]))
     for i, total in enumerate(_row_sums(values)):
-        if errors[i] is None and abs(total - 1.0) > NORMALIZATION_TOL:
-            errors[i] = f"exact table must sum to 1 (got {total!r})"
+        if errors[i] is None:
+            errors[i] = _sum_error(total)
     return errors
 
 

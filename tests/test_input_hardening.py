@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from lgcert.cli import ScenarioError, SweepSpec, main, run_sweep, scenario_from_dict, sweep_to_csv
+from lgcert.qcore import matrix_to_json
 
 
 def lg3_scenario(**overrides):
@@ -114,3 +115,22 @@ def test_non_integral_sweep_values_become_error_rows():
     assert [r["error"] for r in rows] == [
         "", "shots: must be an integer, got 12.9", "shots: must be an integer, got True"
     ]
+
+
+# A kick generator of another dimension than the system's parses; the kernel
+# rejects it when it applies the kick, for that row alone.
+KICK4 = {"kind": "unitary_kick", "strength": 0.3, "generator": matrix_to_json(np.diag([1.0, -1.0, 0.5, 0.0]))}
+KICK_MISMATCH = "apply_clumsiness: dimensions differ (2 vs 4)"
+
+
+@pytest.mark.parametrize("shots", [0, 100])
+def test_mismatched_kick_generator_is_a_dimension_error(shots, tmp_path, capsys):
+    data = lg3_scenario(protocol={"mode": "projective", "clumsiness": KICK4}, shots=shots)
+    assert main(["certify", write_json(tmp_path, "kick.json", data)]) == 2
+    assert capsys.readouterr().err == f"error: {KICK_MISMATCH}\n"
+    sweep = {"scenario": data, "parameter": "schedule.gap", "values": [0.5, 1.0]}
+    assert main(["sweep", write_json(tmp_path, "sweep.json", sweep)]) == 0
+    assert capsys.readouterr().out == f'value,error\n0.5,"{KICK_MISMATCH}"\n1.0,"{KICK_MISMATCH}"\n'
+    rows = run_sweep(SweepSpec(data, "dimension", (2, 4)))
+    assert rows[0]["error"] == KICK_MISMATCH
+    assert rows[1]["error"].startswith("hamiltonian: ")

@@ -19,7 +19,9 @@ derived from one table, in INRM modes; exact INRM; many-valued observables
 with NSIT, NSIT3 and MONO; checks sweeps, whose rows share a batch
 signature but not their checks; and a state whose small-gap tables fail
 validation.  The column path's validation is checked against the tables'
-own, and it builds no per-row table at all.
+own, and it builds no per-row table at all.  Kick-generator sweeps, exact
+and at finite shots, mix generators of the system's dimension with ones of
+another, whose rows must fail alone.
 """
 
 from __future__ import annotations
@@ -94,6 +96,9 @@ D2_INRM_SHOTS = dict(
 
 KICK = {"kind": "unitary_kick", "strength": 0.2, "generator": matrix_to_json(
     random_hermitian(np.random.default_rng(5), 4))}
+
+KICK_GENERATORS = [matrix_to_json(random_hermitian(np.random.default_rng(13), 2)), KICK["generator"],
+                   matrix_to_json(random_hermitian(np.random.default_rng(14), 2)), KICK["generator"]]
 
 SWEEPS = {
     "readme-gap": (
@@ -177,6 +182,17 @@ SWEEPS = {
     "invalid-exact-table": (
         dict(README_SCENARIO, initial_state=NEARLY_PSD_STATE, checks=["LG3", "NSIT", "MONO"]),
         "schedule.gap", [1e-6, 0.3, 2e-6, 1.0, 1e-7, 1.4],
+    ),
+    # Kick generators of the system's dimension share a kernel call, one kick
+    # unitary per row; a generator of another dimension fails its row alone.
+    "kick-generator": (
+        with_protocol(README_SCENARIO, clumsiness=dict(KICK, generator=KICK_GENERATORS[0])),
+        "protocol.clumsiness.generator", KICK_GENERATORS,
+    ),
+    "kick-generator-shots": (
+        dict(with_protocol(README_SCENARIO, mode="inrm", clumsiness=dict(KICK, generator=KICK_GENERATORS[0])),
+             shots=500),
+        "protocol.clumsiness.generator", KICK_GENERATORS,
     ),
 }
 
@@ -288,3 +304,17 @@ def test_column_validation_raises_what_each_table_would():
     assert [i for i, e in enumerate(expected) if e] == [1, 2, 3, 4, 5, 6, 8]
     assert {e.split(" ")[0] for e in expected if e} == {"probability", "exact"}
     assert _table_errors(outcomes, values) == expected
+
+
+def test_finite_shot_rows_sample_entries_that_fail_exact_validation():
+    # A directly measured finite-shot experiment is sampled from its cleaned
+    # exact entries, each clamped to [0, 1], without validating them as an
+    # exact table first, as INRM configurations always are sampled.  So the
+    # small-gap rows that fail as exact rows certify at finite shots.
+    template, parameter, values = SWEEPS["invalid-exact-table"]
+    exact = run_sweep(SweepSpec(template=template, parameter=parameter, values=tuple(values)))
+    assert [r["verdict"] == "error" for r in exact] == [True, False] * 3
+    sampled_template = dict(template, shots=500)
+    rows = run_sweep(SweepSpec(template=sampled_template, parameter=parameter, values=tuple(values)))
+    assert [r["verdict"] for r in rows] == ["all_satisfied", "violations"] * 3
+    assert [bits(r) for r in rows] == [bits(own_row(sampled_template, parameter, v)) for v in values]
