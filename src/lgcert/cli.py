@@ -97,6 +97,13 @@ def _integer(name: str, value) -> int:
     return _field(name, int, value)
 
 
+def _integers(name: str, value) -> tuple[int, ...]:
+    """A list of integer fields, each read as ``_integer`` reads one."""
+    if not isinstance(value, list):
+        raise ScenarioError(f"{name}: must be a list of integers, got {value!r}")
+    return tuple(_integer(name, v) for v in value)
+
+
 def _parse_state(spec, dim: int) -> DensityOperator:
     if isinstance(spec, str):
         if spec == "maximally_mixed":
@@ -145,7 +152,9 @@ def _parse_observable(spec, dim: int) -> Observable:
             matrix_from_json(p, f"observable projector {i}")
             for i, p in enumerate(spec["projectors"])
         )
-        labels = tuple(int(x) for x in spec.get("labels", range(1, len(projs) + 1)))
+        labels = range(1, len(projs) + 1)
+        if "labels" in spec:
+            labels = _integers("observable.labels", spec["labels"])
         obs: Observable = ManyValuedObservable(projs, labels)
     else:
         obs = DichotomicObservable(matrix_from_json(spec, "observable"))
@@ -214,17 +223,15 @@ def scenario_from_dict(data: Mapping[str, Any], template: Scenario | None = None
         shots = _integer("shots", data["shots"])
     else:
         shots = _integer("protocol.shots", proto.get("shots", 0))
-    try:
-        config = ProtocolConfig(
-            mode=proto.get("mode", "projective"),
-            dephase_times=tuple(proto["dephase_times"]) if proto.get("dephase_times") else None,
-            clumsiness=_field("protocol.clumsiness", _parse_clumsiness, proto.get("clumsiness")),
-            shots=shots,
-        )
-    except ScenarioError:
-        raise
-    except (TypeError, ValueError, ValidationError) as exc:
-        raise ScenarioError(f"protocol: {exc}") from exc
+    dephase = proto.get("dephase_times")
+    config = _field(
+        "protocol",
+        ProtocolConfig,
+        proto.get("mode", "projective"),
+        None if dephase is None else _integers("protocol.dephase_times", dephase) or None,
+        _field("protocol.clumsiness", _parse_clumsiness, proto.get("clumsiness")),
+        shots,
+    )
 
     try:
         checks = tuple(str(c).upper() for c in data.get("checks", ()))
@@ -380,17 +387,20 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     parsed it already.  Each row copies only the dicts along the swept path
     and reuses the template's parsed state, Hamiltonian and observable
     wherever its subtree is the template's own, so a ``schedule.gap`` or
-    clumsiness-strength sweep shares one eigendecomposition.  Rows that
-    differ only in schedule times or clumsiness strength run each experiment
-    in one kernel call, filled by the first row that asks.  Exact rows
-    (``shots == 0``) that also share their checks and moment source are
-    evaluated as columns: the first row that asks computes every row's
-    cleaned probabilities, moments, margins and verdicts from the kernel's
-    (R, N) arrays, accumulating in the scalar code's order, and builds no
-    per-row table.  Finite-shot rows are evaluated per row: rows that share
-    a seed share its child seeds and their generator states (each child is
-    spawned and seeded once per sweep, and each row's draws restore those
-    states in the row's own order), while sampling and checks stay per row.
+    clumsiness-strength sweep shares one eigendecomposition.  The rows are
+    split into groups before any row runs: rows that differ only in schedule
+    times or clumsiness strength and share their checks and moment source
+    form one group, which runs each experiment in one kernel call.  Exact
+    rows (``shots == 0``) are evaluated as columns: the first row of a group
+    that asks computes every row's moments, margins and verdicts from the
+    group's (R, N) arrays, accumulating in the scalar code's order, and
+    builds no per-row table.  Finite-shot rows are evaluated per row, each
+    from its row of its group's arrays: rows that share a seed share its
+    child seeds and their generator states (each child is spawned and
+    seeded once per sweep, and each row's draws restore those states in the
+    row's own order), while sampling and checks stay per row.  Finite-shot
+    rows whose checks differ therefore share no kernel call, and where the
+    cap on a call's entries binds, a group is sized by the whole schedule.
     Either way every row equals ``run_certification`` on its own scenario,
     bit for bit.  A row that fails, including one whose value is malformed
     or whose exact table fails validation, carries its error message in the

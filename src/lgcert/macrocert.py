@@ -42,7 +42,6 @@ from .protocols import (
     OutcomeTable,
     ScenarioError,
     Schedule,
-    _as_observable_list,
     _ColumnRunner,
     _ExperimentRunner,
     _marginal_columns,
@@ -816,9 +815,9 @@ def _nsit_columns(
     runner: _ColumnRunner, full: _TableColumns, reduced: _TableColumns, marginalize_over: Sequence[int]
 ) -> np.ndarray:
     """``check_nsit``'s ``max_abs`` for every row of exact tables."""
-    keep = [i for i in range(1, full.arity + 1) if i not in marginalize_over]
-    marg, errors = _marginal_columns(full, keep)
-    runner.fail(errors)
+    keep = [i for i in range(1, len(full.slots) + 1) if i not in marginalize_over]
+    marg = _marginal_columns(full, keep)
+    runner.fail(marg.errors)
     _require_nsit_slots(marg.slots, reduced.slots)
     defects = reduced.values[:, reduced.columns(marg.outcomes)] - marg.values
     return np.abs(defects).max(axis=1)
@@ -849,11 +848,11 @@ def _nsit3_columns(runner: _ColumnRunner, m) -> _Block:
 def _appendix_columns(runner: _ColumnRunner, m) -> _Block:
     """The two-time identities stay one independent matrix computation per row."""
     ids, values, satisfied = [], [], []
-    for i, row in enumerate(runner.group):
+    for i, s in enumerate(runner.scenarios):
         entries: tuple[ConditionResult, ...] = ()
         if runner.errors[i] is None:
             try:
-                entries = _appendix_entries(runner.rows.scenario(row))
+                entries = _appendix_entries(s)
             except ValidationError as exc:
                 runner.errors[i] = str(exc)
         ids.append([e.condition for e in entries])
@@ -910,11 +909,11 @@ def _certify(
     the scenario's order; that is the order in which sampled experiments
     draw their child seeds.
     """
-    s = rows.scenario(row)
+    runner = _ExperimentRunner(rows, row)
+    s = runner.s
     n_times = len(s.schedule)
     _require_times(s)
 
-    runner = _ExperimentRunner(rows, row)
     moment_times = _moment_times(s)
     moments: MomentSet | None = None
     if moment_times and s.derive_lower_moments:
@@ -952,8 +951,8 @@ def _moment_columns(
         sources = {}
         for order in range(1, len(top) + 1):
             for positions in itertools.combinations(top, order):
-                sources[positions], errors = _marginal_columns(table, positions)
-                runner.fail(errors)
+                sources[positions] = _marginal_columns(table, positions)
+                runner.fail(sources[positions].errors)
     else:
         sources = {times: runner.experiment(times) for times in moment_times}
     moments = {key: _moment_column(key, table) for key, table in sources.items()}
@@ -962,10 +961,10 @@ def _moment_columns(
     return moments
 
 
-def _certify_columns(rows: _RowSet, group: list[int]) -> list[str | tuple[dict[str, float], bool]]:
-    """``_certify`` for exact rows that share a batch signature, checks and moment source, all at once.
+def _certify_columns(runner: _ColumnRunner) -> list[str | tuple[dict[str, float], bool]]:
+    """``_certify`` for every row of a group of exact rows, all at once.
 
-    Returns, per row of ``group``, its margins (condition ids, then witness
+    Returns, per row of the group, its margins (condition ids, then witness
     ids, as a sweep row lists them) and whether every check holds, or the
     message of its error.  The experiments, validations and checks run in
     ``_certify``'s order, each once for the group, and every entry, moment
@@ -973,15 +972,15 @@ def _certify_columns(rows: _RowSet, group: list[int]) -> list[str | tuple[dict[s
     so each row's margins are its own certification's, bit for bit.  An
     error the group's shared configuration raises is every remaining row's.
     """
-    runner = _ColumnRunner(rows, group)
     s = runner.s
+    runner.errors = [None] * len(runner.scenarios)
     blocks: list[_Block] = []
     try:
         _require_times(s)
         moments = _moment_columns(runner, _moment_times(s))
         blocks = [_CHECKS[name].columns(runner, moments) for name in s.checks]
     except ValidationError as exc:
-        runner.fail([str(exc)] * len(group))
+        runner.fail([str(exc)] * len(runner.scenarios))
     blocks = [b for b in blocks if not b.witness] + [b for b in blocks if b.witness]
     results: list[str | tuple[dict[str, float], bool]] = []
     for i, error in enumerate(runner.errors):
@@ -996,20 +995,16 @@ def _certify_columns(rows: _RowSet, group: list[int]) -> list[str | tuple[dict[s
 
 
 def _certify_exact(rows: _RowSet, row: int) -> tuple[dict[str, float], bool]:
-    """One exact row's margins and whether every check holds, as ``_certify_columns`` gives them.
+    """One exact row's margins and whether every check holds, from its group's ``_certify_columns``.
 
-    The first row of a group to ask evaluates the whole group; a row's error
-    is raised as a ``ValidationError`` with its message.
+    The first row of a group to ask certifies the whole group, and the group
+    keeps the result; a row's error is raised as a ``ValidationError`` with
+    its message.
     """
-    s = rows.scenario(row)
-    observables = _as_observable_list(s.observable, len(s.schedule))
-    result = rows.fill(
-        row,
-        "certified",
-        math.prod(len(q.outcomes) for q in observables),
-        lambda group: _certify_columns(rows, group),
-        share=lambda r: (r.checks, r.derive_lower_moments),
-    )
+    group, index = rows.group(row)
+    if group.certified is None:
+        group.certified = _certify_columns(group)
+    result = group.certified[index]
     if isinstance(result, str):
         raise ValidationError(result)
     return result

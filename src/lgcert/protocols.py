@@ -17,9 +17,11 @@ A leading row axis lets one call serve several runs that differ only in
 their schedule times and clumsiness, as the rows of a sweep do; a single run
 is one row.
 
-A row set of scenarios and a runner per row turn the kernel's output into a
-certification's independent experiments and seed their sampling; the library
-entry points are one-row calls on them, as certifications and sweeps are.
+A row set of scenarios splits its rows into groups once, each group one
+runner that makes its rows' kernel calls and keeps their cleaned entries;
+a runner per row reads its row of them into a certification's independent
+experiments and seeds their sampling.  The library entry points are one-row
+calls on them, as certifications and sweeps are.
 """
 
 from __future__ import annotations
@@ -414,12 +416,8 @@ def _clumsy_stack(stack: np.ndarray, clumsiness: Sequence[ClumsinessModel]) -> n
 
 
 def _clean_probs(raw: dict[tuple[int, ...], float]) -> dict[tuple[int, ...], float]:
-    out = {}
-    for k, v in raw.items():
-        if -ENTRY_TOL <= v < 0.0:
-            v = 0.0
-        out[k] = min(1.0, max(v, 0.0)) if abs(v) < ENTRY_TOL else v
-    return out
+    """An entry in [-ENTRY_TOL, 0) becomes 0.0, as ``_table_columns`` cleans columns."""
+    return {k: 0.0 if -ENTRY_TOL <= v < 0.0 else v for k, v in raw.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +528,44 @@ def _experiment_probabilities(
     )
 
 
+def _row_table(
+    table: _TableColumns,
+    row: int,
+    measured: tuple[int, ...],
+    config: ProtocolConfig,
+    next_generator: Callable[[], np.random.Generator] | None = None,
+) -> OutcomeTable:
+    """Row ``row`` of an experiment's cleaned columns (``_table_columns``) as that row's table.
+
+    An exact table holds the row's entries in the columns' order, which for
+    INRM modes is the order ``assemble_inrm`` gives over the detector
+    configurations' partials.  With ``config.shots > 0`` the table is sampled
+    with generators drawn from ``next_generator``: one for a directly
+    measured table, drawn from the entries as ``sample_counts`` would draw
+    from their exact table, and one per INRM detector configuration in
+    couplings product order, each configuration's block of entries a
+    multinomial with its own discard cell, as ``_sample_partial`` samples
+    it.  Only the sampled table is validated: the sampling clamps each exact
+    entry to [0, 1] and renormalises, so an experiment whose exact table
+    would fail validation (an entry out of range by more than ``ENTRY_TOL``,
+    a sum off 1 by more than ``NORMALIZATION_TOL``) still samples, at finite
+    shots, where its exact row is an error.
+    """
+    probs = dict(zip(table.outcomes, table.values[row].tolist()))
+    if config.shots == 0:
+        return OutcomeTable(table.slots, probs, slot_times=measured)
+    if not config.uses_detectors:
+        return _sampled_table(table.slots, probs, config.shots, next_generator(), measured)
+    entries = list(probs.items())
+    width = len(table.slots[-1])
+    sampled: dict[tuple[int, ...], float] = {}
+    for start in range(0, len(entries), width):
+        block = dict(entries[start : start + width])
+        block, _ = _sample_surviving(block, 1.0 - sum(block.values()), config.shots, next_generator())
+        sampled.update(block)
+    return OutcomeTable(table.slots, sampled, kind="empirical", shots=config.shots, slot_times=measured)
+
+
 def _experiment_table(
     outcomes: Sequence[tuple[int, ...]],
     raw: np.ndarray,
@@ -538,47 +574,9 @@ def _experiment_table(
     config: ProtocolConfig,
     next_generator: Callable[[], np.random.Generator] | None = None,
 ) -> OutcomeTable:
-    """One row's table from its ``_experiment_probabilities`` output.
-
-    INRM modes build the table from every detector configuration: each one
-    is cleaned (and sampled) straight from the kernel's output and merged in
-    couplings product order, which gives the entries, in the same order, of
-    ``assemble_inrm`` over the configurations' partials, and only the merged
-    table is validated.  With ``config.shots > 0`` the table is sampled with
-    generators drawn from ``next_generator``: one for a directly sampled
-    table, which is drawn from the cleaned entries as ``sample_counts``
-    would draw from their exact table, one per INRM configuration in
-    couplings product order.  Only the sampled table is validated: the
-    sampling clamps each exact entry to [0, 1] and renormalises, so an
-    experiment whose exact table would fail validation (an entry out of
-    range by more than ``ENTRY_TOL``, a sum off 1 by more than
-    ``NORMALIZATION_TOL``) still samples, at finite shots, where its exact
-    row is an error.
-    """
-    probs = dict(zip(outcomes, raw.tolist()))
-    if not config.uses_detectors:
-        slots = tuple(tuple(observables[i - 1].outcomes) for i in measured)
-        if config.shots > 0:
-            return _sampled_table(slots, _clean_probs(probs), config.shots, next_generator(), measured)
-        return OutcomeTable(slots=slots, probabilities=_clean_probs(probs), slot_times=measured)
-    labels = observables[measured[0] - 1].outcomes
-    sampled = config.shots > 0
-    merged: dict[tuple[int, ...], float] = {}
-    # survivor prefixes in this order are the couplings (1, -1)^(m-1) in product order
-    for survivors in itertools.product((-1, 1), repeat=len(measured) - 1):
-        entries = _surviving(probs, survivors, labels)
-        if sampled:
-            entries, _ = _sample_surviving(
-                entries, 1.0 - sum(entries.values()), config.shots, next_generator()
-            )
-        merged.update(entries)
-    return OutcomeTable(
-        slots=tuple(tuple(labels) for _ in measured),
-        probabilities=merged,
-        kind="empirical" if sampled else "exact",
-        shots=config.shots if sampled else None,
-        slot_times=measured,
-    )
+    """One row's table from its ``_experiment_probabilities`` entries ``raw``, as a group's runner builds it."""
+    columns = _table_columns(outcomes, raw[None], observables, measured, config)
+    return _row_table(columns, 0, measured, config, next_generator)
 
 
 # ---------------------------------------------------------------------------
@@ -664,104 +662,51 @@ class _RowSet:
     """The parsed rows of a sweep, or the one row of a single certification.
 
     ``scenarios`` holds each row's scenario, or the message of the error its
-    parsing raised.  Work that rows with the same batch signature can share
-    is done by the first row that asks, for itself and the later rows of its
-    group, which keep their shares until each row asks (``fill``): each
-    experiment's kernel call, one (R, N) array per call, and the columnar
-    certification of exact rows.
+    parsing raised.  The rows are split into groups once, here: in row
+    order, rows with the same batch signature, checks and moment source join
+    one group, as many as one kernel call over the whole schedule holds
+    within ``_BATCH_ENTRIES`` entries.  Each group is one ``_ColumnRunner``,
+    which runs each experiment's kernel call once for all its rows.  Exact
+    rows are certified by their group as columns; finite-shot rows and the
+    single-row callers read their row of the group's columns through an
+    ``_ExperimentRunner``.  Finite-shot rows whose checks differ thus share
+    no kernel call, and where the cap binds, a group of finite-shot rows is
+    sized by the whole schedule, not by each experiment's own branches.
 
     It also owns finite-shot seeding.  Per scenario seed it keeps one
     ``SeedSequence`` root, spawned one child at a time, and the child seeds
     drawn so far; per child seed, the initial state of its PCG64 stream.
     Rows that share a seed (all rows of a sweep, unless the seed is swept)
-    therefore spawn and seed each child once.  The caches live as long as
-    the row set, which is one library, ``run_certification`` or ``run_sweep``
-    call.
+    therefore spawn and seed each child once.  The groups and caches live as
+    long as the row set, which is one library, ``run_certification`` or
+    ``run_sweep`` call.
     """
 
     def __init__(self, scenarios: Sequence[Scenario | str]):
         self.scenarios = list(scenarios)
-        self._signatures = [
-            _batch_signature(s) if isinstance(s, Scenario) else None for s in self.scenarios
-        ]
-        self._pending: dict[tuple, Any] = {}
+        self._placed: list[tuple[_ColumnRunner, int] | None] = []
+        open_groups: dict[tuple, _ColumnRunner] = {}
+        for s in self.scenarios:
+            if isinstance(s, str):
+                self._placed.append(None)
+                continue
+            key = (_batch_signature(s), s.checks, s.derive_lower_moments)
+            group = open_groups.get(key)
+            if group is None or (len(group.scenarios) + 1) * group.entries > _BATCH_ENTRIES:
+                group = open_groups[key] = _ColumnRunner(s)
+            else:
+                group.scenarios.append(s)
+            self._placed.append((group, len(group.scenarios) - 1))
         self._children: dict[int, tuple[np.random.SeedSequence, list[int]]] = {}
         self._states: dict[int, dict] = {}
         self._rng: np.random.Generator | None = None
 
-    def scenario(self, row: int) -> Scenario:
-        s = self.scenarios[row]
-        if isinstance(s, str):
-            raise ScenarioError(s)
-        return s
-
-    def fill(
-        self,
-        row: int,
-        key: Any,
-        branches: int,
-        compute: Callable[[list[int]], Sequence[Any]],
-        share: Callable[[Scenario], Any] = lambda s: (),
-    ) -> Any:
-        """``row``'s result of ``compute(group)``, which returns one result per row of the group.
-
-        The group is ``row`` and every later row with its batch signature and
-        its ``share(scenario)``, capped so that a kernel call with
-        ``branches`` branches per row holds at most ``_BATCH_ENTRIES``
-        entries.  The later rows' results wait under ``key`` until each row
-        asks.
-        """
-        ready = self._pending.pop((row, key), None)
-        if ready is not None:
-            return ready
-        s = self.scenarios[row]
-        signature = self._signatures[row]
-        shared = share(s)
-        group = [
-            j
-            for j in range(row, len(self.scenarios))
-            if self._signatures[j] == signature and share(self.scenarios[j]) == shared
-        ]
-        group = group[: max(1, _BATCH_ENTRIES // (branches * s.dimension**2))]
-        results = compute(group)
-        for j, result in zip(group[1:], results[1:]):
-            self._pending[(j, key)] = result
-        return results[0]
-
-    def columns(
-        self, group: Sequence[int], request: tuple, config: ProtocolConfig, observables: Sequence[Observable]
-    ) -> tuple[list[tuple[int, ...]], np.ndarray]:
-        """Outcome tuples and the (R, N) exact, unclamped probabilities of one experiment for rows ``group``.
-
-        ``request`` is the experiment's ``(measured, mechanism, clean)``,
-        ``config`` the first row's ``_experiment_config`` for it and
-        ``observables`` the observable at each time, which the rows of a
-        batch share.  One kernel call serves every row.
-        """
-        measured, _, clean = request
-        rows = [self.scenarios[j] for j in group]
-        s = rows[0]
-        return _experiment_probabilities(
-            s.initial_state,
-            s.hamiltonian,
-            observables,
-            [r.schedule for r in rows],
-            measured,
-            config,
-            [config.clumsiness if clean else r.config.clumsiness for r in rows],
-        )
-
-    def probabilities(
-        self, row: int, request: tuple, config: ProtocolConfig, observables: Sequence[Observable]
-    ) -> tuple[list[tuple[int, ...]], np.ndarray]:
-        """Outcome tuples and one row's exact, unclamped probabilities for one experiment (see ``columns``)."""
-        branches = math.prod(len(observables[i - 1].outcomes) for i in request[0])
-
-        def run(group: list[int]) -> list:
-            outcomes, raw = self.columns(group, request, config, observables)
-            return [(outcomes, values) for values in raw]
-
-        return self.fill(row, request, branches, run)
+    def group(self, row: int) -> tuple[_ColumnRunner, int]:
+        """``row``'s group and its index there; a row whose parsing failed raises its message."""
+        placed = self._placed[row]
+        if placed is None:
+            raise ScenarioError(self.scenarios[row])
+        return placed
 
     def generator(self, seed: int, index: int) -> np.random.Generator:
         """A generator at the start of the stream of ``seed``'s ``index``-th child seed.
@@ -793,9 +738,9 @@ class _RowSet:
 class _Runner:
     """What both experiment runners share: one scenario's observables and its NSIT pair."""
 
-    def __init__(self, s: Scenario):
+    def __init__(self, s: Scenario, observables: list[Observable]):
         self.s = s
-        self.observables = _as_observable_list(s.observable, len(s.schedule))
+        self.observables = observables
 
     def _mechanism(self, measured: tuple[int, ...]) -> tuple[int, ...]:
         """The protocol's own mechanism placement for an experiment measuring ``measured``."""
@@ -822,23 +767,21 @@ class _Runner:
 
 
 class _ExperimentRunner(_Runner):
-    """Runs and caches the independent experiments one row's scenario needs.
+    """Runs and caches the independent experiments of one row: a view of that row of its group.
 
-    Every sampled experiment draws its own child seed from the scenario seed
-    in execution order (the runner keeps only the draw index; the row set
-    spawns and seeds), so identical scenarios reproduce byte-identical
-    reports, whether the row runs alone or within a sweep.
+    Each experiment's table is built from the row's share of the group's
+    cleaned columns (``_row_table``), exact or sampled.  Every sampled
+    experiment draws its own child seed from the scenario seed in execution
+    order (the runner keeps only the draw index; the row set spawns and
+    seeds), so identical scenarios reproduce byte-identical reports, whether
+    the row runs alone or within a sweep.
     """
 
     def __init__(self, rows: _RowSet, row: int):
-        super().__init__(rows.scenario(row))
+        self.group, self.index = rows.group(row)
+        super().__init__(self.group.scenarios[self.index], self.group.observables)
         self.rows = rows
-        self.row = row
         self.tables: dict[str, OutcomeTable] = {}
-        # Config and exact probabilities per (measured, mechanism, clean):
-        # experiments under different keys (a moment's and the NSIT pair's)
-        # may share one.
-        self._exact: dict[tuple, tuple[ProtocolConfig, list[tuple[int, ...]], np.ndarray]] = {}
         self._draws = 0
 
     def _next_generator(self) -> np.random.Generator:
@@ -869,25 +812,19 @@ class _ExperimentRunner(_Runner):
                 key += "_clean"
         if key in self.tables:
             return self.tables[key]
-
-        request = (measured, mechanism, clean)
-        if request not in self._exact:
-            config = _experiment_config(s, measured, mechanism, clean)
-            outcomes, raw = self.rows.probabilities(self.row, request, config, self.observables)
-            self._exact[request] = (config, outcomes, raw)
-        config, outcomes, raw = self._exact[request]
-        # Detectors sit at the measured times; every INRM configuration draws
-        # its own child seed.
-        table = _experiment_table(outcomes, raw, self.observables, measured, config, self._next_generator)
+        config, columns = self.group.table((measured, mechanism, clean))
+        table = _row_table(columns, self.index, measured, config, self._next_generator)
         self.tables[key] = table
         return table
 
 
 class _TableColumns:
-    """One exact experiment's table for every row of a group.
+    """One experiment's cleaned table for every row of a group.
 
     ``outcomes`` lists the entries in the order each row's ``OutcomeTable``
     holds them, and ``values`` is the (R, N) array of those entries.
+    ``errors`` is, per row, what validating its exact table raises, or
+    ``None``; only the column certifier reads it, so it is computed then.
     """
 
     def __init__(
@@ -896,14 +833,14 @@ class _TableColumns:
         self.slots = slots
         self.outcomes = outcomes
         self.values = values
-        self._columns = {o: k for k, o in enumerate(outcomes)}
 
-    @property
-    def arity(self) -> int:
-        return len(self.slots)
+    @functools.cached_property
+    def errors(self) -> list[str | None]:
+        return _table_errors(self.outcomes, self.values)
 
     def columns(self, outcomes: Iterable[tuple[int, ...]]) -> list[int]:
-        return [self._columns[o] for o in outcomes]
+        index = {o: k for k, o in enumerate(self.outcomes)}
+        return [index[o] for o in outcomes]
 
 
 def _row_sums(columns: np.ndarray) -> list[float]:
@@ -930,15 +867,17 @@ def _table_columns(
     observables: Sequence[Observable],
     measured: tuple[int, ...],
     config: ProtocolConfig,
-) -> tuple[_TableColumns, list[str | None]]:
-    """``_experiment_table`` of an exact experiment for every row of a kernel call, and each row's error.
+) -> _TableColumns:
+    """Every row's cleaned table of one experiment from its ``_experiment_probabilities`` output.
 
-    The entries are the kernel's columns, cleaned as ``_clean_probs`` cleans
-    them, in the table's own order: product order, or for INRM modes the
-    merged couplings order.
+    An entry in [-ENTRY_TOL, 0) becomes 0.0.  The entries are in the table's
+    own order: product order, or for INRM modes the detector
+    configurations' surviving entries, one block per configuration in
+    couplings product order.
     """
     if config.uses_detectors:
         labels = observables[measured[0] - 1].outcomes
+        # survivor prefixes in this order are the couplings (1, -1)^(m-1) in product order
         order = [
             survivors + (s,)
             for survivors in itertools.product((-1, 1), repeat=len(measured) - 1)
@@ -950,12 +889,13 @@ def _table_columns(
     else:
         order = list(outcomes)
         slots = tuple(tuple(observables[i - 1].outcomes) for i in measured)
-    values = np.where((raw >= -ENTRY_TOL) & (raw < 0.0), 0.0, raw)
-    return _TableColumns(slots, order, values), _table_errors(order, values)
+    # cleaning changes only negative entries, which a kernel run seldom has (NaN takes the long way)
+    values = raw if raw.min() >= 0.0 else np.where((raw >= -ENTRY_TOL) & (raw < 0.0), 0.0, raw)
+    return _TableColumns(slots, order, values)
 
 
-def _marginal_columns(table: _TableColumns, keep: Sequence[int]) -> tuple[_TableColumns, list[str | None]]:
-    """``marginal_distribution`` of every row's table over the 1-based slots ``keep``, and each row's error.
+def _marginal_columns(table: _TableColumns, keep: Sequence[int]) -> _TableColumns:
+    """``marginal_distribution`` of every row's table over the 1-based slots ``keep``.
 
     Entries appear in the order the table first reaches them, and each one
     adds its sources in table order to 0.0, as the scalar marginal does.
@@ -964,28 +904,59 @@ def _marginal_columns(table: _TableColumns, keep: Sequence[int]) -> tuple[_Table
     sources: dict[tuple[int, ...], list[int]] = {}
     for j, outcome in enumerate(table.outcomes):
         sources.setdefault(tuple(outcome[i] for i in idx), []).append(j)
-    order = list(sources)
-    values = np.zeros((len(table.values), len(order)))
+    values = np.zeros((len(table.values), len(sources)))
     for column in np.array(list(sources.values())).T:
         values = values + table.values[:, column]
-    return _TableColumns(tuple(table.slots[i] for i in idx), order, values), _table_errors(order, values)
+    return _TableColumns(tuple(table.slots[i] for i in idx), list(sources), values)
 
 
 class _ColumnRunner(_Runner):
-    """The exact experiments of a group of rows as columns: ``_ExperimentRunner`` for all of them at once.
+    """One group of a row set: its scenarios, its kernel calls and its one store.
 
-    The rows share a batch signature, so the first row's scenario settles
-    every experiment's configuration.  Each experiment is one kernel call
-    for the group; a row whose table fails validation keeps, in ``errors``,
-    the first message it meets in execution order.
+    The rows share a batch signature, checks and moment source, so the first
+    row's scenario settles every experiment's configuration.  ``table`` runs
+    an experiment's kernel call for every row at once and keeps its config
+    and cleaned columns; ``_ExperimentRunner`` reads one row of them.  As the
+    certifier of exact rows, it is ``_ExperimentRunner`` for all of them at
+    once: ``experiment`` returns the columns, and a row whose table fails
+    validation keeps, in ``errors``, the first message it meets in execution
+    order.  ``certified`` keeps the group's ``macrocert._certify_columns``
+    result once a row has asked.  The group holds its scenarios, not the row
+    set, so no reference cycle outlives a sweep.
     """
 
-    def __init__(self, rows: _RowSet, group: Sequence[int]):
-        super().__init__(rows.scenario(group[0]))
-        self.rows = rows
-        self.group = list(group)
-        self.errors: list[str | None] = [None] * len(group)
-        self._tables: dict[tuple, _TableColumns] = {}
+    def __init__(self, s: Scenario):
+        super().__init__(s, _as_observable_list(s.observable, len(s.schedule)))
+        self.scenarios = [s]
+        # the entries of one row's kernel call over the whole schedule
+        self.entries = math.prod(len(q.outcomes) for q in self.observables) * s.dimension**2
+        self.errors: list[str | None] = []
+        self.certified: list | None = None
+        self._tables: dict[tuple, tuple[ProtocolConfig, _TableColumns]] = {}
+
+    def table(self, request: tuple) -> tuple[ProtocolConfig, _TableColumns]:
+        """The config and cleaned columns of the experiment ``request`` = ``(measured, mechanism, clean)``.
+
+        The first request runs its one kernel call; experiments under
+        different keys (a moment's and the NSIT pair's) may share one.
+        """
+        entry = self._tables.get(request)
+        if entry is None:
+            measured, mechanism, clean = request
+            s = self.s
+            config = _experiment_config(s, measured, mechanism, clean)
+            outcomes, raw = _experiment_probabilities(
+                s.initial_state,
+                s.hamiltonian,
+                self.observables,
+                [r.schedule for r in self.scenarios],
+                measured,
+                config,
+                [config.clumsiness if clean else r.config.clumsiness for r in self.scenarios],
+            )
+            entry = (config, _table_columns(outcomes, raw, self.observables, measured, config))
+            self._tables[request] = entry
+        return entry
 
     def fail(self, errors: Iterable[str | None]) -> None:
         """Record each row's error unless it already has one."""
@@ -1001,14 +972,8 @@ class _ColumnRunner(_Runner):
         """``_ExperimentRunner.experiment`` for every row; ``key`` names nothing here."""
         if mechanism is None:
             mechanism = self._mechanism(measured)
-        request = (measured, mechanism, clean)
-        table = self._tables.get(request)
-        if table is None:
-            config = _experiment_config(self.s, measured, mechanism, clean)
-            outcomes, raw = self.rows.columns(self.group, request, config, self.observables)
-            table, errors = _table_columns(outcomes, raw, self.observables, measured, config)
-            self.fail(errors)
-            self._tables[request] = table
+        _, table = self.table((measured, mechanism, clean))
+        self.fail(table.errors)
         return table
 
 
@@ -1060,28 +1025,17 @@ def inrm_distribution(
         rho, h, [q] * m, [schedule.times], range(1, m + 1), dephase_at, [config.clumsiness],
         config.uses_ancilla, trace_last=True,
     )
-    probs = _surviving(
-        dict(zip(outcomes, raw[0].tolist())), tuple(-c for c in couplings), q.outcomes
-    )
+    # the kernel branched on every detector outcome: the branch whose prefix
+    # is -couplings is this configuration's surviving run
+    entries = dict(zip(outcomes, raw[0].tolist()))
+    survivors = tuple(-c for c in couplings)
+    probs = _clean_probs({survivors + (s,): entries[survivors + (s,)] for s in q.outcomes})
     partial = InrmPartial(
         tuple(tuple(q.outcomes) for _ in range(m)), couplings, probs, 1.0 - sum(probs.values())
     )
     if config.shots > 0:
         return _sample_partial(partial, config.shots, seed)
     return partial
-
-
-def _surviving(
-    raw: Mapping[tuple[int, ...], float], survivors: tuple[int, ...], labels: Sequence[int]
-) -> dict[tuple[int, ...], float]:
-    """Exact surviving entries of the detector configuration that couples to ``-survivors``.
-
-    ``raw`` is one kernel run over the detector times and the final time
-    that branches on the outcome at each detector time and reads the last
-    one as a trace: the branch with prefix ``survivors`` is that
-    configuration's surviving run.
-    """
-    return _clean_probs({survivors + (s,): raw[survivors + (s,)] for s in labels})
 
 
 def _sample_surviving(

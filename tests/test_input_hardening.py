@@ -134,3 +134,36 @@ def test_mismatched_kick_generator_is_a_dimension_error(shots, tmp_path, capsys)
     rows = run_sweep(SweepSpec(data, "dimension", (2, 4)))
     assert rows[0]["error"] == KICK_MISMATCH
     assert rows[1]["error"].startswith("hamiltonian: ")
+
+
+def many_valued_scenario(labels):
+    projectors = [matrix_to_json(np.diag([1.0, 0.0])), matrix_to_json(np.diag([0.0, 1.0]))]
+    return lg3_scenario(observable={"projectors": projectors, "labels": labels}, checks=["NSIT"])
+
+
+@pytest.mark.parametrize("name, data, message", [
+    ("dephase.json", lg3_scenario(protocol={"mode": "projective_dephased", "dephase_times": [1.5]}),
+     "protocol.dephase_times: must be an integer, got 1.5"),
+    ("dephase.json", lg3_scenario(protocol={"mode": "projective_dephased", "dephase_times": [True]}),
+     "protocol.dephase_times: must be an integer, got True"),
+    ("dephase.json", lg3_scenario(protocol={"mode": "projective_dephased", "dephase_times": "12"}),
+     "protocol.dephase_times: must be a list of integers, got '12'"),
+    ("dephase.json", lg3_scenario(protocol={"mode": "projective_dephased", "dephase_times": 1}),
+     "protocol.dephase_times: must be a list of integers, got 1"),
+    ("labels.json", many_valued_scenario([1.5, 2]), "observable.labels: must be an integer, got 1.5"),
+    ("labels.json", many_valued_scenario([True, 2]), "observable.labels: must be an integer, got True"),
+    ("labels.json", many_valued_scenario("12"), "observable.labels: must be a list of integers, got '12'"),
+])
+def test_integer_list_fields_reject_non_integers(name, data, message, tmp_path, capsys):
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(data)
+    assert str(info.value) == message
+    assert main(["certify", write_json(tmp_path, name, data)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_integral_list_entries_are_accepted():
+    dephased = scenario_from_dict(lg3_scenario(protocol={"mode": "projective_dephased", "dephase_times": [2.0, 1]}))
+    assert dephased.config.dephase_times == (1, 2)
+    assert scenario_from_dict(lg3_scenario(protocol={"dephase_times": []})).config.dephase_times is None
+    assert scenario_from_dict(many_valued_scenario([3.0, -1])).observable.labels == (3, -1)

@@ -194,6 +194,13 @@ SWEEPS = {
              shots=500),
         "protocol.clumsiness.generator", KICK_GENERATORS,
     ),
+    # Exact and finite-shot rows in one sweep; finite-shot rows whose checks differ.
+    "d2-inrm-shots-with-exact": (D2_INRM_SHOTS, "shots", [0, 1000, 0, 250, 1000]),
+    "checks-shots": (
+        D2_INRM_SHOTS,
+        "checks",
+        [["LG3"], ["LG3", "NSIT"], ["MONO", "LG2"], ["LG3"], ["NSIT3", "NSIT"], ["NONNEG3", "LG3", "NSIT"]],
+    ),
 }
 
 
