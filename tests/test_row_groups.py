@@ -47,6 +47,15 @@ KERNEL_CALLS = {
     "kick-generator-shots": 9,
     "d2-inrm-shots-with-exact": 21,
     "checks-shots": 28,
+    "m4-lg4-nonneg-shots": 18,
+    "derive-inrm-shots": 6,
+    "derive-projective-shots": 3,
+    "many-valued-shots": 6,
+    "appendix-shots": 4,
+    "d4-ancilla-blind-strength-shots": 8,
+    "deterministic-shots": 8,
+    "inrm-marginal-above-one": 4,
+    "inrm-marginal-above-one-derived": 3,
 }
 
 GAPS = tuple(0.05 + 0.05 * k for k in range(64))

@@ -22,17 +22,27 @@ validation.  The column path's validation is checked against the tables'
 own, and it builds no per-row table at all.  Kick-generator sweeps, exact
 and at finite shots, mix generators of the system's dimension with ones of
 another, whose rows must fail alone.
+
+Finite-shot rows are certified as columns as well, each row drawing its own
+multinomials, so finite-shot sweeps reach every column evaluator with
+sampled tables: four times with LG4, NONNEG3 and NONNEG4; moments derived
+from one sampled table in ``inrm`` and in ``projective``; NSIT3 and MONO on
+a many-valued observable; APPENDIX; an ``ancilla_blind`` strength sweep; a
+gap where every outcome is certain, so that every variance is 0; and an
+INRM seed sweep whose two-time marginals exceed 1 on some rows, which fail
+alone.  Each row draws the same child-seed streams as its own certification.
 """
 
 from __future__ import annotations
 
 import copy
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from lgcert.cli import SweepSpec, run_certification, run_sweep, scenario_from_dict
-from lgcert.protocols import MODES, OutcomeTable, _table_errors
+from lgcert.protocols import MODES, OutcomeTable, _RowSet, _table_errors
 from lgcert.qcore import ValidationError, matrix_to_json
 
 from conftest import random_density_matrix, random_dichotomic, random_hermitian
@@ -99,6 +109,26 @@ KICK = {"kind": "unitary_kick", "strength": 0.2, "generator": matrix_to_json(
 
 KICK_GENERATORS = [matrix_to_json(random_hermitian(np.random.default_rng(13), 2)), KICK["generator"],
                    matrix_to_json(random_hermitian(np.random.default_rng(14), 2)), KICK["generator"]]
+
+# A d = 4 system whose second read-out is +1 whatever the first one gave: the
+# unitary at each gap swaps |0> and |3> and fixes |1>, and the state at t1 is
+# (|1> + |3>)/sqrt(2).  An INRM run samples p(+1, +1) and p(-1, +1) from two
+# independent configurations, so their sum, a marginal entry of 1 in exact
+# mode, exceeds 1 on some seeds, and such rows fail validation alone.
+_SWAP = np.zeros((4, 4))
+_SWAP[0, 3] = _SWAP[3, 0] = np.pi / 2
+_PHI = np.array([1j, 1.0, 0.0, 0.0]) / np.sqrt(2)
+INRM_SPLIT = {
+    "dimension": 4,
+    "initial_state": matrix_to_json(np.outer(_PHI, _PHI.conj())),
+    "hamiltonian": matrix_to_json(_SWAP),
+    "observable": matrix_to_json(np.diag([1.0, 1.0, 1.0, -1.0])),
+    "schedule": [1.0, 2.0, 3.0],
+    "protocol": {"mode": "inrm"},
+    "checks": ["LG3", "NSIT", "MONO"],
+    "shots": 1000,
+    "seed": 1,
+}
 
 SWEEPS = {
     "readme-gap": (
@@ -200,6 +230,45 @@ SWEEPS = {
         D2_INRM_SHOTS,
         "checks",
         [["LG3"], ["LG3", "NSIT"], ["MONO", "LG2"], ["LG3"], ["NSIT3", "NSIT"], ["NONNEG3", "LG3", "NSIT"]],
+    ),
+    # Finite-shot rows through every column evaluator.
+    "m4-lg4-nonneg-shots": (
+        dict(random_template(6, 4, "projective_dephased",
+                             ["LG4", "NONNEG3", "NONNEG4", "LG3", "LG2", "NSIT3"], m=4), shots=800),
+        "schedule.gap", [0.3, 0.55, 0.8, -0.2, 1.3],
+    ),
+    "derive-inrm-shots": (
+        dict(random_template(7, 2, "inrm", ["LG3", "LG2", "NONNEG3", "NSIT", "MONO"]),
+             derive_lower_moments=True, shots=600),
+        "protocol.clumsiness.strength", [0.0, 0.05, 0.3, 0.05, 0.8],
+    ),
+    "derive-projective-shots": (
+        dict(random_template(12, 3, "projective", ["NONNEG3", "LG2", "LG3", "NSIT"]),
+             derive_lower_moments=True, shots=700),
+        "schedule.gap", [0.2, 0.6, 1.0, 1.4],
+    ),
+    "many-valued-shots": (
+        dict(many_valued_template(9, 3, "ancilla_blind", ["NSIT", "NSIT3", "MONO"]), shots=500),
+        "schedule.gap", [0.3, 0.6, 0.9, 1.2],
+    ),
+    "appendix-shots": (
+        dict(random_template(3, 2, "projective", ["APPENDIX", "LG3", "NSIT", "MONO"]), shots=300),
+        "schedule.gap", [0.2, 0.9, 1.7, 2.6, 3.0],
+    ),
+    "d4-ancilla-blind-strength-shots": (
+        dict(random_template(1, 4, "ancilla_blind", ["LG3", "NSIT", "NSIT3", "MONO"]), shots=400),
+        "protocol.clumsiness.strength", [0.05, 0.2, 1.5, 0.5],
+    ),
+    # From the ground state at tiny gaps every outcome is certain: every
+    # frequency is 0 or 1, every variance 0, and verdicts use VERDICT_TOL.
+    "deterministic-shots": (
+        dict(README_SCENARIO, initial_state="ground", shots=1000,
+             checks=["LG3", "LG2", "NSIT", "MONO", "NONNEG3"]),
+        "schedule.gap", [1e-4, 0.5, 1e-3, 1.0],
+    ),
+    "inrm-marginal-above-one": (INRM_SPLIT, "seed", [1, 2, 3, 4, 5, 6]),
+    "inrm-marginal-above-one-derived": (
+        dict(INRM_SPLIT, derive_lower_moments=True, checks=["LG3", "LG2", "NSIT"]), "seed", [1, 4, 5, 6],
     ),
 }
 
@@ -325,3 +394,36 @@ def test_finite_shot_rows_sample_entries_that_fail_exact_validation():
     rows = run_sweep(SweepSpec(template=sampled_template, parameter=parameter, values=tuple(values)))
     assert [r["verdict"] for r in rows] == ["all_satisfied", "violations"] * 3
     assert [bits(r) for r in rows] == [bits(own_row(sampled_template, parameter, v)) for v in values]
+
+
+FINITE_SHOT_SWEEPS = [
+    name for name, (template, parameter, values) in SWEEPS.items()
+    if template.get("shots", 0) > 0 or parameter == "shots"
+]
+
+
+@pytest.mark.parametrize("name", FINITE_SHOT_SWEEPS)
+def test_finite_shot_rows_draw_their_own_certifications_streams(name, monkeypatch):
+    # Every draw goes through ``_RowSet.generator(seed, index)``.  A row's
+    # draws are the seed's children 0, 1, ... in its own execution order, so
+    # a sweep must ask, over all its rows, for exactly the (seed, index)
+    # streams that the rows' own certifications ask for, each as often: no
+    # row may skip, repeat or add a draw (one that has failed draws no more).
+    # Rows of one group draw interleaved, experiment by experiment, so the
+    # calls are compared as a multiset.
+    calls = []
+    generator = _RowSet.generator
+
+    def recorded(self, seed, index):
+        calls.append((seed, index))
+        return generator(self, seed, index)
+
+    monkeypatch.setattr(_RowSet, "generator", recorded)
+    template, parameter, values = SWEEPS[name]
+    run_sweep(SweepSpec(template=template, parameter=parameter, values=tuple(values)))
+    swept = Counter(calls)
+    calls.clear()
+    for value in values:
+        own_row(template, parameter, value)
+    assert sum(swept.values()) > 0
+    assert swept == Counter(calls)
