@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import numbers
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,7 +42,7 @@ from .protocols import (
     _times_name,
     table_to_json,
 )
-from .macrocert import _CHECKS, ConditionResult, WitnessReport, _certify, _certify_exact
+from .macrocert import _CHECKS, ConditionResult, WitnessReport, _certify, _certify_grouped
 
 __all__ = [
     "ScenarioError",
@@ -97,6 +98,16 @@ def _integer(name: str, value) -> int:
     return _field(name, int, value)
 
 
+def _number(name: str, value) -> float:
+    """A real-number field: an int or a float, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScenarioError(f"{name}: must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ScenarioError(f"{name}: {exc}") from exc
+
+
 def _integers(name: str, value) -> tuple[int, ...]:
     """A list of integer fields, each read as ``_integer`` reads one."""
     if not isinstance(value, list):
@@ -131,7 +142,7 @@ def _parse_hamiltonian(spec, dim: int) -> Hamiltonian:
             raise ScenarioError(f"hamiltonian: unknown preset {spec['preset']!r}")
         if dim != 2:
             raise ScenarioError("hamiltonian: preset 'precession' requires dimension 2")
-        return Hamiltonian.precession(float(spec.get("frequency", 1.0)))
+        return Hamiltonian.precession(_number("hamiltonian.frequency", spec.get("frequency", 1.0)))
     mat = matrix_from_json(spec, "hamiltonian")
     if mat.shape[0] != dim:
         raise ScenarioError(
@@ -172,10 +183,10 @@ def _parse_clumsiness(spec) -> ClumsinessModel:
     if kind == "none":
         return ClumsinessModel.none()
     if kind == "depolarizing":
-        return ClumsinessModel.depolarizing(float(spec["strength"]))
+        return ClumsinessModel.depolarizing(_number("protocol.clumsiness.strength", spec["strength"]))
     if kind == "unitary_kick":
         return ClumsinessModel.unitary_kick(
-            float(spec["strength"]),
+            _number("protocol.clumsiness.strength", spec["strength"]),
             matrix_from_json(spec["generator"], "clumsiness generator"),
         )
     raise ScenarioError(f"protocol.clumsiness: unknown kind {kind!r}")
@@ -209,12 +220,11 @@ def scenario_from_dict(data: Mapping[str, Any], template: Scenario | None = None
     h = parsed("hamiltonian", _parse_hamiltonian, {"preset": "precession"})
     obs = parsed("observable", _parse_observable, "sigma_z")
 
-    try:
-        schedule = Schedule(tuple(float(t) for t in data["schedule"]))
-    except KeyError:
-        raise ScenarioError("schedule: missing") from None
-    except (TypeError, ValueError, ValidationError) as exc:
-        raise ScenarioError(f"schedule: {exc}") from exc
+    if "schedule" not in data:
+        raise ScenarioError("schedule: missing")
+    schedule = _field(
+        "schedule", lambda times: Schedule(tuple(_number("schedule", t) for t in times)), data["schedule"]
+    )
 
     proto = data.get("protocol", {}) or {}
     if not isinstance(proto, Mapping):
@@ -233,10 +243,10 @@ def scenario_from_dict(data: Mapping[str, Any], template: Scenario | None = None
         shots,
     )
 
-    try:
-        checks = tuple(str(c).upper() for c in data.get("checks", ()))
-    except TypeError as exc:
-        raise ScenarioError(f"checks: {exc}") from exc
+    checks = data.get("checks", ())
+    if not isinstance(checks, (list, tuple)):
+        raise ScenarioError(f"checks: must be a list, got {checks!r}")
+    checks = tuple(str(c).upper() for c in checks)
     unknown = [c for c in checks if c not in KNOWN_CHECKS]
     if unknown:
         raise ScenarioError(f"checks: unknown identifiers {unknown}; expected from {KNOWN_CHECKS}")
@@ -344,11 +354,8 @@ def _row_data(template: Mapping[str, Any], parameter: str, value) -> dict:
     """The template with ``value`` set at ``parameter``; only the dicts along the path are copied."""
     data = dict(template)
     if parameter == "schedule.gap":
-        try:
-            m = len(template.get("schedule", [])) or 3
-            gap = float(value)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"schedule.gap: {exc}") from exc
+        m = _field("schedule.gap", len, template.get("schedule", [])) or 3
+        gap = _number("schedule.gap", value)
         data["schedule"] = [gap * (k + 1) for k in range(m)]
         return data
     parts = parameter.split(".")
@@ -363,17 +370,9 @@ def _row_data(template: Mapping[str, Any], parameter: str, value) -> dict:
 
 
 def _sweep_row(rows: _RowSet, row: int, value) -> dict:
-    """One sweep row: an exact row reads its margins from its group's columns, any other certifies alone."""
-    s = rows.scenarios[row]
+    """One sweep row: its margins and verdict from its group's columns."""
     try:
-        if isinstance(s, Scenario) and s.shots == 0:
-            margins, satisfied = _certify_exact(rows, row)
-        else:
-            _, _, conditions, witnesses = _certify(rows, row)
-            margins = {cond.condition: cond.margin for cond in conditions}
-            for wit in witnesses:
-                margins[wit.condition] = wit.max_abs
-            satisfied = _verdict(conditions, witnesses) == "all_satisfied"
+        margins, satisfied = _certify_grouped(rows, row)
     except ValidationError as exc:
         return {"value": value, "margins": {}, "verdict": "error", "error": str(exc)}
     verdict = "all_satisfied" if satisfied else "violations"

@@ -16,7 +16,9 @@ with any number of unfixed moments.
 Margins are always reported as the left-hand side of the ">= 0" form of a
 condition; in exact mode a margin counts as satisfied when it is at least
 -VERDICT_TOL, while empirical margins are judged against three standard
-errors propagated from the multinomial entry variances.
+errors propagated from the multinomial entry variances.  Sweep rows are
+certified a group at a time (``_certify_columns``), from (R, N) arrays of
+exact entries or of each row's sampled frequencies.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .protocols import (
     OutcomeTable,
     ScenarioError,
     Schedule,
+    _clip,
     _ColumnRunner,
     _ExperimentRunner,
     _marginal_columns,
@@ -92,10 +95,13 @@ def moment_keys(n: int) -> list[tuple[int, ...]]:
     return keys
 
 
-# Each validation rule and each condition's formula has one owner, which both
-# the scalar checks and the column evaluators of exact sweep rows call.  The
-# formulas take moments as floats or as arrays with one entry per row, and do
-# the same IEEE operations in the same order on either.
+# Each validation rule, each condition's formula with its variance, and the
+# 3-standard-error gate has one owner, which both the scalar checks and the
+# column evaluators of sweep rows call.  The formulas take moments and their
+# variances (``var(key)``) as floats or as arrays with one entry per row, do
+# the same IEEE operations in the same order on either, and return (id,
+# margin, variance) triples; a builtin ``sum`` is ``total``, which the column
+# evaluators take per row (``_row_total``).
 
 
 def _moment_error(key: tuple[int, ...], v: float) -> str | None:
@@ -152,40 +158,64 @@ def _invasive(max_abs, threshold: float = VERDICT_TOL):
     return max_abs > threshold
 
 
+def _tolerance(variance, exact: float = VERDICT_TOL):
+    """The gate of an empirical quantity: three standard errors, or ``exact`` where the variance is 0.
+
+    A margin holds when it is at least minus this; an NSIT defect, with
+    ``exact`` 0.0, shows invasiveness when its size exceeds it.
+    Elementwise on arrays.
+    """
+    if isinstance(variance, np.ndarray):
+        return np.where(variance > 0.0, 3.0 * np.sqrt(variance), exact)
+    return 3.0 * math.sqrt(variance) if variance > 0.0 else exact
+
+
+def _row_total(terms: Sequence[np.ndarray]) -> np.ndarray:
+    """The builtin ``sum`` of each row's terms, one column per term."""
+    return np.array(_row_sums(np.stack(terms, axis=1)))
+
+
 _LG3_COMBOS = ((1, 1, 1), (-1, -1, 1), (1, -1, -1), (-1, 1, -1))
 _LG2_PAIRS = ((1, 2), (2, 3), (1, 3))
 _LG2_PATTERNS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 _LG4_PAIRS = ((1, 2), (2, 3), (3, 4), (1, 4))
 
 
-def _lg3_margins(c) -> list[tuple[str, Any]]:
-    """The four three-time LG conditions' ids and margins from C12, C23 and C13."""
+def _lg3_margins(c, var: Callable, total: Callable = sum) -> list[tuple[str, Any, Any]]:
+    """The four three-time LG conditions from C12, C23 and C13, with the sum of their variances."""
+    variance = total([var(key) for key in _LG2_PAIRS])
     return [
-        (f"LG3-{idx}", 1.0 + a * c[(1, 2)] + b * c[(2, 3)] + d * c[(1, 3)])
+        (f"LG3-{idx}", 1.0 + a * c[(1, 2)] + b * c[(2, 3)] + d * c[(1, 3)], variance)
         for idx, (a, b, d) in enumerate(_LG3_COMBOS, start=1)
     ]
 
 
-def _lg2_margins(m, i: int, j: int) -> list[tuple[str, Any]]:
-    """The four two-time LG conditions' ids and margins on times i < j."""
+def _lg2_margins(m, var: Callable, i: int, j: int) -> list[tuple[str, Any, Any]]:
+    """The four two-time LG conditions on times i < j, with v_i + v_j + v_ij."""
+    variance = var((i,)) + var((j,)) + var((i, j))
     return [
-        (f"LG2-{i}{j}-{idx}", 1.0 + si * m[(i,)] + sj * m[(j,)] + si * sj * m[(i, j)])
+        (f"LG2-{i}{j}-{idx}", 1.0 + si * m[(i,)] + sj * m[(j,)] + si * sj * m[(i, j)], variance)
         for idx, (si, sj) in enumerate(_LG2_PATTERNS, start=1)
     ]
 
 
-def _lg4_margins(m, total: Callable = sum) -> list[tuple[str, Any]]:
-    """The eight four-time LG conditions' ids and margins; ``total`` adds a list of four terms as ``sum`` does."""
+def _lg4_margins(m, var: Callable, total: Callable = sum) -> list[tuple[str, Any, Any]]:
+    """The eight four-time LG conditions, with the sum of the four correlators' variances."""
+    variance = total([var(key) for key in _LG4_PAIRS])
     results = []
     for negated in _LG4_PAIRS:
         combo = total([(-1.0 if key == negated else 1.0) * m[key] for key in _LG4_PAIRS])
         for sign in (-1.0, 1.0):
-            results.append((f"LG4-{len(results) + 1}", 2.0 + sign * combo))
+            results.append((f"LG4-{len(results) + 1}", 2.0 + sign * combo, variance))
     return results
 
 
-def _candidate_entries(m, n: int) -> dict[tuple[int, ...], Any]:
-    """p(s) = 2^-n (1 + sum over index tuples of the moment times the sign product), per sign tuple."""
+def _candidate_entries(m, var: Callable, n: int, total: Callable = sum) -> tuple[dict[tuple[int, ...], Any], Any]:
+    """p(s) = 2^-n (1 + sum over index tuples of the moment times the sign product), per sign tuple.
+
+    Also returns the variance every entry is given: the sum of the moments'
+    variances over 4^n.
+    """
     keys = moment_keys(n)
     values = {}
     for signs in itertools.product((1, -1), repeat=n):
@@ -196,7 +226,7 @@ def _candidate_entries(m, n: int) -> dict[tuple[int, ...], Any]:
                 sign *= signs[i - 1]
             acc = acc + sign * m[key]
         values[signs] = acc / (2**n)
-    return values
+    return values, total([var(key) for key in keys]) / (4**n)
 
 
 def _monotonicity_order(outcomes: Iterable[tuple[int, ...]]) -> list[tuple[str, tuple[int, ...]]]:
@@ -204,9 +234,9 @@ def _monotonicity_order(outcomes: Iterable[tuple[int, ...]]) -> list[tuple[str, 
     return [(f"MONO-({_sign_str(o)})", o) for o in sorted(outcomes, reverse=True)]
 
 
-def _nonnegativity_margins(values: Mapping[tuple[int, ...], Any]) -> list[tuple[str, Any]]:
-    """One non-negativity condition per candidate entry: its id and the entry, in descending sign order."""
-    return [(f"NONNEG-({_sign_str(signs)})", values[signs]) for signs in sorted(values, reverse=True)]
+def _nonnegativity_margins(values: Mapping[tuple[int, ...], Any], variance) -> list[tuple[str, Any, Any]]:
+    """One non-negativity condition per candidate entry, in descending sign order, each with ``variance``."""
+    return [(f"NONNEG-({_sign_str(signs)})", values[signs], variance) for signs in sorted(values, reverse=True)]
 
 
 @dataclass(frozen=True)
@@ -357,13 +387,12 @@ class WitnessReport:
         return data
 
 
-def _verdict(margin: float, stderr: float | None) -> str:
-    return "satisfied" if _holds(margin, 3.0 * stderr if stderr else VERDICT_TOL) else "violated"
-
-
 def _result(condition: str, margin: float, variance: float) -> ConditionResult:
     stderr = math.sqrt(variance) if variance > 0.0 else None
-    return ConditionResult(condition, float(margin), _verdict(float(margin), stderr), stderr)
+    margin = float(margin)
+    return ConditionResult(
+        condition, margin, "satisfied" if _holds(margin, _tolerance(variance)) else "violated", stderr
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +475,8 @@ def candidate_probability(m: MomentSet) -> CandidateProbability:
     missing = m.unfixed_keys()
     if missing:
         raise ValidationError(f"candidate probability needs all moments fixed; missing {missing}")
-    n = m.n
-    entry_variance = sum(m.variance(k) for k in moment_keys(n)) / (4**n)
-    return CandidateProbability(n=n, values=_candidate_entries(m, n), entry_variance=entry_variance)
+    values, entry_variance = _candidate_entries(m, m.variance, m.n)
+    return CandidateProbability(n=m.n, values=values, entry_variance=entry_variance)
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +485,12 @@ def candidate_probability(m: MomentSet) -> CandidateProbability:
 
 def check_lg3(m: MomentSet) -> InequalityReport:
     """The four three-time LG inequalities on C12, C23, C13."""
-    pairs = ((1, 2), (2, 3), (1, 3))
     c = {}
-    for key in pairs:
+    for key in _LG2_PAIRS:
         if not m.is_fixed(key):
             raise ValidationError(f"three-time LG check needs correlator C{key[0]}{key[1]}")
         c[key] = m[key]
-    var = sum(m.variance(key) for key in pairs)
-    return InequalityReport(tuple(_result(name, margin, var) for name, margin in _lg3_margins(c)))
+    return InequalityReport(tuple(_result(*result) for result in _lg3_margins(c, m.variance)))
 
 
 def check_lg2(m: MomentSet) -> InequalityReport:
@@ -473,11 +499,9 @@ def check_lg2(m: MomentSet) -> InequalityReport:
     for key in needed:
         if not m.is_fixed(key):
             raise ValidationError(f"two-time LG check needs moment {key}")
-    entries = []
-    for i, j in _LG2_PAIRS:
-        var = m.variance((i,)) + m.variance((j,)) + m.variance((i, j))
-        entries.extend(_result(name, margin, var) for name, margin in _lg2_margins(m, i, j))
-    return InequalityReport(tuple(entries))
+    return InequalityReport(
+        tuple(_result(*result) for i, j in _LG2_PAIRS for result in _lg2_margins(m, m.variance, i, j))
+    )
 
 
 def check_lg4(m: MomentSet) -> InequalityReport:
@@ -485,14 +509,13 @@ def check_lg4(m: MomentSet) -> InequalityReport:
     for key in _LG4_PAIRS:
         if not m.is_fixed(key):
             raise ValidationError(f"four-time LG check needs correlator C{key[0]}{key[1]}")
-    var = sum(m.variance(key) for key in _LG4_PAIRS)
-    return InequalityReport(tuple(_result(name, margin, var) for name, margin in _lg4_margins(m)))
+    return InequalityReport(tuple(_result(*result) for result in _lg4_margins(m, m.variance)))
 
 
 def check_nonnegativity(c: CandidateProbability) -> InequalityReport:
     """One margin per sign tuple: the candidate entry itself."""
     return InequalityReport(
-        tuple(_result(name, entry, c.entry_variance) for name, entry in _nonnegativity_margins(c.values))
+        tuple(_result(*result) for result in _nonnegativity_margins(c.values, c.entry_variance))
     )
 
 
@@ -524,20 +547,18 @@ def check_nsit(
     _require_nsit_slots(marg.slots, reduced.slots)
     empirical = full.kind == "empirical" or reduced.kind == "empirical"
     defects: dict[tuple[int, ...], float] = {}
-    stderrs: dict[tuple[int, ...], float] = {}
+    variances: dict[tuple[int, ...], float] = {}
     for outcome in marg.probabilities:
         defects[outcome] = reduced.raw(outcome) - marg.raw(outcome)
         if empirical:
-            var = reduced.entry_variance(outcome)
-            var += sum(
+            variances[outcome] = reduced.entry_variance(outcome) + sum(
                 full.entry_variance(o)
                 for o in full.probabilities
                 if tuple(o[i - 1] for i in keep) == outcome
             )
-            stderrs[outcome] = math.sqrt(var)
     max_abs = max(abs(w) for w in defects.values())
     if empirical:
-        invasive = any(abs(w) > 3.0 * stderrs[o] for o, w in defects.items())
+        invasive = any(_invasive(abs(w), _tolerance(variances[o], 0.0)) for o, w in defects.items())
     else:
         invasive = _invasive(max_abs, threshold)
     if condition is None:
@@ -556,7 +577,7 @@ def check_nsit(
         max_abs=max_abs,
         threshold=threshold,
         verdict="invasive" if invasive else "non-invasive",
-        stderrs=stderrs if empirical else None,
+        stderrs={o: math.sqrt(v) for o, v in variances.items()} if empirical else None,
     )
 
 
@@ -715,19 +736,34 @@ class _Block:
     witness: bool = False
 
 
-def _condition_block(ids: list[str], margins: np.ndarray) -> _Block:
-    """Conditions with shared ids from an (R, K) margin array, judged as ``_result`` judges exact margins."""
-    return _Block([ids] * len(margins), margins.tolist(), _holds(margins).all(axis=1).tolist())
+def _condition_block(ids: list[str], margins: np.ndarray, variances: np.ndarray) -> _Block:
+    """Conditions with shared ids from (R, K) margin and variance arrays, judged as ``_result`` judges them."""
+    satisfied = _holds(margins, _tolerance(variances)).all(axis=1)
+    return _Block([ids] * len(margins), margins.tolist(), satisfied.tolist())
 
 
-def _margin_block(results: Sequence[tuple[str, np.ndarray]]) -> _Block:
-    """``_condition_block`` of (id, margin column) pairs."""
-    return _condition_block([name for name, _ in results], np.stack([v for _, v in results], axis=1))
+def _margin_block(results: Sequence[tuple[str, np.ndarray, np.ndarray]]) -> _Block:
+    """``_condition_block`` of (id, margin column, variance column) triples."""
+    ids, margins, variances = zip(*results)
+    return _condition_block(list(ids), np.stack(margins, axis=1), np.stack(variances, axis=1))
 
 
-def _witness_block(ids: list[str], max_abs: np.ndarray) -> _Block:
-    """Exact NSIT witnesses from an (R, K) array of ``max_abs``, judged as ``check_nsit`` judges them."""
-    return _Block([ids] * len(max_abs), max_abs.tolist(), (~_invasive(max_abs).any(axis=1)).tolist(), True)
+def _witness_block(ids: list[str], witnesses: Sequence[tuple[np.ndarray, np.ndarray | None]]) -> _Block:
+    """NSIT witnesses from their (R, K) defects and variances (``None`` if exact), judged as ``check_nsit`` does."""
+    max_abs, invasive = [], []
+    for defects, variances in witnesses:
+        size = np.abs(defects)
+        max_abs.append(size.max(axis=1))
+        if variances is None:
+            invasive.append(_invasive(max_abs[-1]))
+        else:
+            invasive.append(_invasive(size, _tolerance(variances, 0.0)).any(axis=1))
+    max_abs = np.stack(max_abs, axis=1)
+    return _Block([ids] * len(max_abs), max_abs.tolist(), (~np.stack(invasive, axis=1).any(axis=1)).tolist(), True)
+
+
+# A group's moments: per key, every row's value and every row's variance.
+_Moments = tuple[dict[tuple[int, ...], np.ndarray], dict[tuple[int, ...], np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -735,15 +771,15 @@ class _Check:
     """One check: minimum times, moments read, and its evaluators.
 
     ``evaluate`` runs any further experiments it needs on one row's runner
-    and returns its results; ``columns`` does the same for a group of exact
-    rows on a ``_ColumnRunner``, with moments as one array per key, and
-    returns one ``_Block``.
+    and returns its results; ``columns`` does the same for a group of rows
+    on a ``_ColumnRunner``, with moments and variances as one array per
+    key, and returns one ``_Block``.
     """
 
     min_times: int
     moments: tuple[tuple[int, ...], ...]
     evaluate: Callable[[_ExperimentRunner, MomentSet | None], Sequence[ConditionResult | WitnessReport]]
-    columns: Callable[[_ColumnRunner, dict[tuple[int, ...], np.ndarray] | None], _Block]
+    columns: Callable[[_ColumnRunner, _Moments | None], _Block]
 
 
 def _nonnegativity(m: MomentSet, n: int) -> tuple[ConditionResult, ...]:
@@ -786,66 +822,75 @@ def _appendix_entries(s) -> tuple[ConditionResult, ...]:
     ).entries
 
 
-# Column evaluators: each check of one row's exact certification for every
-# row of a group, with the scalar code's operations in the scalar code's order.
+# Column evaluators: each check of one row's certification for every row of a
+# group, exact or sampled, with the scalar code's operations in its order.
 
 
-def _lg3_columns(runner: _ColumnRunner, m: dict[tuple[int, ...], np.ndarray]) -> _Block:
-    return _margin_block(_lg3_margins(m))
+def _lg3_columns(runner: _ColumnRunner, moments: _Moments) -> _Block:
+    m, v = moments
+    return _margin_block(_lg3_margins(m, v.__getitem__, _row_total))
 
 
-def _lg2_columns(runner: _ColumnRunner, m: dict[tuple[int, ...], np.ndarray]) -> _Block:
-    return _margin_block([result for i, j in _LG2_PAIRS for result in _lg2_margins(m, i, j)])
+def _lg2_columns(runner: _ColumnRunner, moments: _Moments) -> _Block:
+    m, v = moments
+    return _margin_block([result for i, j in _LG2_PAIRS for result in _lg2_margins(m, v.__getitem__, i, j)])
 
 
-def _lg4_columns(runner: _ColumnRunner, m: dict[tuple[int, ...], np.ndarray]) -> _Block:
-    return _margin_block(_lg4_margins(m, lambda terms: np.array(_row_sums(np.stack(terms, axis=1)))))
+def _lg4_columns(runner: _ColumnRunner, moments: _Moments) -> _Block:
+    m, v = moments
+    return _margin_block(_lg4_margins(m, v.__getitem__, _row_total))
 
 
-def _nonnegativity_columns(
-    runner: _ColumnRunner, m: dict[tuple[int, ...], np.ndarray], n: int
-) -> _Block:
+def _nonnegativity_columns(runner: _ColumnRunner, moments: _Moments, n: int) -> _Block:
     """``_nonnegativity``: the candidate entries, their sum check, then one margin per entry."""
-    entries = _candidate_entries(m, n)
+    m, v = moments
+    entries, variance = _candidate_entries(m, v.__getitem__, n, _row_total)
     runner.fail(_candidate_sum_error(total) for total in _row_sums(np.stack(list(entries.values()), axis=1)))
-    return _margin_block(_nonnegativity_margins(entries))
+    return _margin_block(_nonnegativity_margins(entries, variance))
 
 
 def _nsit_columns(
     runner: _ColumnRunner, full: _TableColumns, reduced: _TableColumns, marginalize_over: Sequence[int]
-) -> np.ndarray:
-    """``check_nsit``'s ``max_abs`` for every row of exact tables."""
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``check_nsit``'s defects for every row, and their variances if the tables are sampled."""
     keep = [i for i in range(1, len(full.slots) + 1) if i not in marginalize_over]
     marg = _marginal_columns(full, keep)
     runner.fail(marg.errors)
     _require_nsit_slots(marg.slots, reduced.slots)
-    defects = reduced.values[:, reduced.columns(marg.outcomes)] - marg.values
-    return np.abs(defects).max(axis=1)
+    columns = reduced.columns(marg.outcomes)
+    defects = reduced.values[:, columns] - marg.values
+    if not (full.shots or reduced.shots):
+        return defects, None
+    # per reduced outcome, its full entries' variances in table order, added by a builtin sum
+    sources = [[j for j, o in enumerate(full.outcomes) if tuple(o[i - 1] for i in keep) == r]
+               for r in marg.outcomes]
+    summed = np.stack([_row_total(list(full.variances[:, s].T)) for s in sources], axis=1)
+    return defects, reduced.variances[:, columns] + summed
 
 
-def _monotonicity_columns(runner: _ColumnRunner, m) -> _Block:
+def _monotonicity_columns(runner: _ColumnRunner, moments) -> _Block:
     """``check_monotonicity`` on the NSIT pair, for every row."""
     full, reduced = runner.nsit_pair()
     k = _monotonicity_head(full.slots, reduced.slots)
     ids, order = zip(*_monotonicity_order(full.outcomes))
-    margins = (
-        reduced.values[:, reduced.columns(o[k:] for o in order)] - full.values[:, full.columns(order)]
-    )
-    return _condition_block(list(ids), margins)
+    tails, heads = reduced.columns(o[k:] for o in order), full.columns(order)
+    margins = reduced.values[:, tails] - full.values[:, heads]
+    return _condition_block(list(ids), margins, reduced.variances[:, tails] + full.variances[:, heads])
 
 
-def _nsit2_columns(runner: _ColumnRunner, m) -> _Block:
-    max_abs = _nsit_columns(runner, *runner.nsit_pair(), (1,))
-    return _witness_block(["NSIT-(2;12)"], max_abs[:, None])
+def _nsit2_columns(runner: _ColumnRunner, moments) -> _Block:
+    return _witness_block(["NSIT-(2;12)"], [_nsit_columns(runner, *runner.nsit_pair(), (1,))])
 
 
-def _nsit3_columns(runner: _ColumnRunner, m) -> _Block:
+def _nsit3_columns(runner: _ColumnRunner, moments) -> _Block:
     witnesses = _nsit3_witnesses(runner)
-    max_abs = [_nsit_columns(runner, full, reduced, over) for _, full, reduced, over in witnesses]
-    return _witness_block([name for name, *_ in witnesses], np.stack(max_abs, axis=1))
+    return _witness_block(
+        [name for name, *_ in witnesses],
+        [_nsit_columns(runner, full, reduced, over) for _, full, reduced, over in witnesses],
+    )
 
 
-def _appendix_columns(runner: _ColumnRunner, m) -> _Block:
+def _appendix_columns(runner: _ColumnRunner, moments) -> _Block:
     """The two-time identities stay one independent matrix computation per row."""
     ids, values, satisfied = [], [], []
     for i, s in enumerate(runner.scenarios):
@@ -931,18 +976,15 @@ def _certify(
     return runner.tables, moments, conditions, witnesses
 
 
-def _moment_column(key: tuple[int, ...], table: _TableColumns) -> np.ndarray:
-    """``_moment_from_table``'s clamped value for every row: signed entries added in table order."""
+def _moment_column(key: tuple[int, ...], table: _TableColumns) -> tuple[np.ndarray, np.ndarray]:
+    """``_moment_from_table``'s clamped value and variance for every row, each added up in table order."""
     _require_dichotomic(key, table.slots)
-    value = _signed_sum(zip(table.outcomes, table.values.T))
-    value = np.where(value > -1.0, value, -1.0)  # min(1.0, max(-1.0, value)), NaN and all
-    return np.where(value < 1.0, value, 1.0)
+    value = _clip(_signed_sum(zip(table.outcomes, table.values.T)), -1.0, 1.0)
+    return value, sum(table.variances.T, 0.0)
 
 
-def _moment_columns(
-    runner: _ColumnRunner, moment_times: list[tuple[int, ...]]
-) -> dict[tuple[int, ...], np.ndarray] | None:
-    """The moments of ``_certify`` for every row, with ``MomentSet``'s range check."""
+def _moment_columns(runner: _ColumnRunner, moment_times: list[tuple[int, ...]]) -> _Moments | None:
+    """The moments of ``_certify`` and their variances for every row, with ``MomentSet``'s range check."""
     if not moment_times:
         return None
     if runner.s.derive_lower_moments:
@@ -955,25 +997,28 @@ def _moment_columns(
                 runner.fail(sources[positions].errors)
     else:
         sources = {times: runner.experiment(times) for times in moment_times}
-    moments = {key: _moment_column(key, table) for key, table in sources.items()}
-    for key, value in moments.items():
+    columns = {key: _moment_column(key, table) for key, table in sources.items()}
+    for key, (value, _) in columns.items():
         runner.fail(_moment_error(key, v) for v in value.tolist())
-    return moments
+    return {key: value for key, (value, _) in columns.items()}, {key: v for key, (_, v) in columns.items()}
 
 
-def _certify_columns(runner: _ColumnRunner) -> list[str | tuple[dict[str, float], bool]]:
-    """``_certify`` for every row of a group of exact rows, all at once.
+def _certify_columns(runner: _ColumnRunner, rows: _RowSet) -> list[str | tuple[dict[str, float], bool]]:
+    """``_certify`` for every row of a group, all at once.
 
     Returns, per row of the group, its margins (condition ids, then witness
     ids, as a sweep row lists them) and whether every check holds, or the
     message of its error.  The experiments, validations and checks run in
-    ``_certify``'s order, each once for the group, and every entry, moment
-    and margin is accumulated column by column in the scalar code's order,
-    so each row's margins are its own certification's, bit for bit.  An
-    error the group's shared configuration raises is every remaining row's.
+    ``_certify``'s order, each once for the group; at finite shots each row
+    draws its own multinomials from ``rows``, in its own certification's
+    order, into one frequency array per experiment.  Every entry, moment,
+    variance and margin is accumulated column by column in the scalar
+    code's order, so each row's margins and verdicts are its own
+    certification's, bit for bit.  An error the group's shared configuration
+    raises is every remaining row's.
     """
     s = runner.s
-    runner.errors = [None] * len(runner.scenarios)
+    runner.start(rows)
     blocks: list[_Block] = []
     try:
         _require_times(s)
@@ -981,6 +1026,8 @@ def _certify_columns(runner: _ColumnRunner) -> list[str | tuple[dict[str, float]
         blocks = [_CHECKS[name].columns(runner, moments) for name in s.checks]
     except ValidationError as exc:
         runner.fail([str(exc)] * len(runner.scenarios))
+    finally:
+        runner.rows = None
     blocks = [b for b in blocks if not b.witness] + [b for b in blocks if b.witness]
     results: list[str | tuple[dict[str, float], bool]] = []
     for i, error in enumerate(runner.errors):
@@ -994,8 +1041,8 @@ def _certify_columns(runner: _ColumnRunner) -> list[str | tuple[dict[str, float]
     return results
 
 
-def _certify_exact(rows: _RowSet, row: int) -> tuple[dict[str, float], bool]:
-    """One exact row's margins and whether every check holds, from its group's ``_certify_columns``.
+def _certify_grouped(rows: _RowSet, row: int) -> tuple[dict[str, float], bool]:
+    """One row's margins and whether every check holds, from its group's ``_certify_columns``.
 
     The first row of a group to ask certifies the whole group, and the group
     keeps the result; a row's error is raised as a ``ValidationError`` with
@@ -1003,7 +1050,7 @@ def _certify_exact(rows: _RowSet, row: int) -> tuple[dict[str, float], bool]:
     """
     group, index = rows.group(row)
     if group.certified is None:
-        group.certified = _certify_columns(group)
+        group.certified = _certify_columns(group, rows)
     result = group.certified[index]
     if isinstance(result, str):
         raise ValidationError(result)

@@ -179,8 +179,8 @@ def _outcome_product(slots: tuple[tuple[int, ...], ...]) -> frozenset[tuple[int,
     return frozenset(itertools.product(*slots))
 
 
-# Each table validation rule has one owner, which both the tables and the
-# column path of exact sweep rows (``_table_errors``) call.
+# Each table validation rule, and the variance of an empirical entry, has one
+# owner, which both the tables and the column path of sweep rows call.
 
 
 def _entry_in_range(p):
@@ -196,6 +196,17 @@ def _entry_error(outcome: tuple[int, ...], p: float) -> str:
 def _sum_error(total: float) -> str | None:
     """Why an exact table whose entries sum to ``total`` is invalid, or ``None``."""
     return f"exact table must sum to 1 (got {total!r})" if abs(total - 1.0) > NORMALIZATION_TOL else None
+
+
+def _entry_variance(p, shots: int):
+    """Multinomial variance of an empirical entry ``p``, clamped to [0, 1], at ``shots`` shots; elementwise."""
+    return p * (1.0 - p) / float(shots)
+
+
+def _clip(values: np.ndarray, low: float, high: float) -> np.ndarray:
+    """``min(high, max(low, v))`` of every entry, NaN included (it becomes ``low``)."""
+    values = np.where(values > low, values, low)
+    return np.where(values < high, values, high)
 
 
 @dataclass(frozen=True)
@@ -264,8 +275,7 @@ class OutcomeTable:
         """Multinomial variance of one entry; 0 for exact tables."""
         if self.kind != "empirical" or not self.shots:
             return 0.0
-        p = self.prob(outcome)
-        return p * (1.0 - p) / float(self.shots)
+        return _entry_variance(self.prob(outcome), self.shots)
 
     def total(self) -> float:
         return float(sum(self.probabilities.values()))
@@ -537,8 +547,11 @@ def _row_table(
 ) -> OutcomeTable:
     """Row ``row`` of an experiment's cleaned columns (``_table_columns``) as that row's table.
 
-    An exact table holds the row's entries in the columns' order, which for
-    INRM modes is the order ``assemble_inrm`` gives over the detector
+    This is the one-row runner's table, which ``run_certification`` and the
+    library entry points read; sweep rows are certified from their group's
+    columns instead (``_sample_columns``), and equal these tables.  An exact
+    table holds the row's entries in the columns' order, which for INRM
+    modes is the order ``assemble_inrm`` gives over the detector
     configurations' partials.  With ``config.shots > 0`` the table is sampled
     with generators drawn from ``next_generator``: one for a directly
     measured table, drawn from the entries as ``sample_counts`` would draw
@@ -666,12 +679,12 @@ class _RowSet:
     order, rows with the same batch signature, checks and moment source join
     one group, as many as one kernel call over the whole schedule holds
     within ``_BATCH_ENTRIES`` entries.  Each group is one ``_ColumnRunner``,
-    which runs each experiment's kernel call once for all its rows.  Exact
-    rows are certified by their group as columns; finite-shot rows and the
+    which runs each experiment's kernel call once for all its rows.  Sweep
+    rows, exact or finite-shot, are certified by their group as columns; the
     single-row callers read their row of the group's columns through an
-    ``_ExperimentRunner``.  Finite-shot rows whose checks differ thus share
-    no kernel call, and where the cap binds, a group of finite-shot rows is
-    sized by the whole schedule, not by each experiment's own branches.
+    ``_ExperimentRunner``.  Rows whose checks differ thus share no kernel
+    call, and where the cap binds, a group is sized by the whole schedule,
+    not by each experiment's own branches.
 
     It also owns finite-shot seeding.  Per scenario seed it keeps one
     ``SeedSequence`` root, spawned one child at a time, and the child seeds
@@ -753,6 +766,24 @@ class _Runner:
         clean: bool = False,
         key: str | None = None,
     ) -> Any:
+        """One independent experiment reading out the given schedule times.
+
+        ``mechanism`` (master 1-based times, default: the protocol's own
+        resolution) places the diagonalization; the scenario's clumsiness
+        channel is injected before the experiment's first measurement unless
+        ``clean``.  ``key`` names the experiment in a report, and a sampled
+        experiment is drawn once per key: two keys may share one kernel call
+        and still draw apart.
+        """
+        if mechanism is None:
+            mechanism = self._mechanism(measured)
+        if key is None:
+            key = _times_name(measured) + ("" if not mechanism else "_blind" + _times_name(mechanism))
+            if clean and not self.s.config.clumsiness.is_trivial:
+                key += "_clean"
+        return self._run(key, (measured, mechanism, clean))
+
+    def _run(self, key: str, request: tuple) -> Any:
         raise NotImplementedError
 
     def nsit_pair(self) -> tuple[Any, Any]:
@@ -789,54 +820,41 @@ class _ExperimentRunner(_Runner):
         self._draws += 1
         return rng
 
-    def experiment(
-        self,
-        measured: tuple[int, ...],
-        mechanism: tuple[int, ...] | None = None,
-        clean: bool = False,
-        key: str | None = None,
-    ) -> OutcomeTable:
-        """One independent experiment reading out the given schedule times.
-
-        ``mechanism`` (master 1-based times, default: the protocol's own
-        resolution) places the diagonalization; the scenario's clumsiness
-        channel is injected before the experiment's first measurement unless
-        ``clean``.
-        """
-        s = self.s
-        if mechanism is None:
-            mechanism = self._mechanism(measured)
-        if key is None:
-            key = _times_name(measured) + ("" if not mechanism else "_blind" + _times_name(mechanism))
-            if clean and not s.config.clumsiness.is_trivial:
-                key += "_clean"
-        if key in self.tables:
-            return self.tables[key]
-        config, columns = self.group.table((measured, mechanism, clean))
-        table = _row_table(columns, self.index, measured, config, self._next_generator)
-        self.tables[key] = table
-        return table
+    def _run(self, key: str, request: tuple) -> OutcomeTable:
+        if key not in self.tables:
+            config, columns = self.group.table(request)
+            self.tables[key] = _row_table(columns, self.index, request[0], config, self._next_generator)
+        return self.tables[key]
 
 
 class _TableColumns:
-    """One experiment's cleaned table for every row of a group.
+    """One experiment's cleaned or sampled table for every row of a group.
 
     ``outcomes`` lists the entries in the order each row's ``OutcomeTable``
-    holds them, and ``values`` is the (R, N) array of those entries.
-    ``errors`` is, per row, what validating its exact table raises, or
-    ``None``; only the column certifier reads it, so it is computed then.
+    holds them, and ``values`` is the (R, N) array of those entries; a
+    sampled table (``shots > 0``) holds frequencies.  ``errors`` is, per
+    row, what validating its table raises, or ``None``; only the column
+    certifier reads it, so it is computed then.  ``variances`` holds each
+    entry's ``OutcomeTable.entry_variance``.
     """
 
     def __init__(
-        self, slots: tuple[tuple[int, ...], ...], outcomes: list[tuple[int, ...]], values: np.ndarray
+        self, slots: tuple[tuple[int, ...], ...], outcomes: list[tuple[int, ...]], values: np.ndarray, shots: int = 0
     ):
         self.slots = slots
         self.outcomes = outcomes
         self.values = values
+        self.shots = shots
 
     @functools.cached_property
     def errors(self) -> list[str | None]:
-        return _table_errors(self.outcomes, self.values)
+        return _table_errors(self.outcomes, self.values, exact=not self.shots)
+
+    @functools.cached_property
+    def variances(self) -> np.ndarray:
+        if not self.shots:
+            return np.zeros_like(self.values)
+        return _entry_variance(_clip(self.values, 0.0, 1.0), self.shots)
 
     def columns(self, outcomes: Iterable[tuple[int, ...]]) -> list[int]:
         index = {o: k for k, o in enumerate(self.outcomes)}
@@ -848,13 +866,15 @@ def _row_sums(columns: np.ndarray) -> list[float]:
     return [sum(entries) for entries in columns.tolist()]
 
 
-def _table_errors(outcomes: Sequence[tuple[int, ...]], values: np.ndarray) -> list[str | None]:
-    """Per row, what validating its exact ``OutcomeTable`` raises, or ``None``: the first bad entry, then the sum."""
+def _table_errors(outcomes: Sequence[tuple[int, ...]], values: np.ndarray, exact: bool = True) -> list[str | None]:
+    """Per row, what validating its ``OutcomeTable`` raises, or ``None``: the first bad entry, then an exact sum."""
     bad = ~_entry_in_range(values)
     errors: list[str | None] = [None] * len(values)
     for i in np.flatnonzero(bad.any(axis=1)):
         j = int(np.argmax(bad[i]))
         errors[i] = _entry_error(outcomes[j], float(values[i, j]))
+    if not exact:
+        return errors
     for i, total in enumerate(_row_sums(values)):
         if errors[i] is None:
             errors[i] = _sum_error(total)
@@ -907,7 +927,51 @@ def _marginal_columns(table: _TableColumns, keep: Sequence[int]) -> _TableColumn
     values = np.zeros((len(table.values), len(sources)))
     for column in np.array(list(sources.values())).T:
         values = values + table.values[:, column]
-    return _TableColumns(tuple(table.slots[i] for i in idx), list(sources), values)
+    return _TableColumns(tuple(table.slots[i] for i in idx), list(sources), values, table.shots)
+
+
+def _sample_columns(
+    table: _TableColumns, config: ProtocolConfig, errors: list[str | None],
+    generator: Callable[[int], np.random.Generator],
+) -> _TableColumns:
+    """Every row's sampled table from its cleaned exact columns, as ``_row_table`` samples one row.
+
+    The entries come out in the order each row's sampled ``OutcomeTable``
+    holds them.  A directly measured table is one multinomial over its
+    entries, each clamped to [0, 1], in sorted outcome order.  An INRM table
+    is one multinomial per detector configuration, in couplings product
+    order, over its block's entries in sorted order and its discard cell,
+    1 - the builtin ``sum`` of the block's entries, at least 0.  Row i draws
+    each multinomial from the generator ``generator(i)`` returns, called
+    once per multinomial in that order.  A row whose ``errors`` entry is set
+    draws no more, and a draw without probability mass sets it.
+    """
+    rows, n = table.values.shape
+    width = len(table.slots[-1]) if config.uses_detectors else n
+    order = [
+        j for start in range(0, n, width)
+        for j in sorted(range(start, start + width), key=table.outcomes.__getitem__)
+    ]
+    pvals = _clip(table.values[:, order], 0.0, 1.0).reshape(rows, -1, width)
+    if config.uses_detectors:
+        # the discard cell of each block, from its entries in table order
+        discard = 1.0 - sum(table.values.reshape(rows, -1, width).transpose(2, 0, 1))
+        pvals = np.concatenate([pvals, np.where(discard > 0.0, discard, 0.0)[..., None]], axis=2)
+    totals = pvals.sum(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = pvals / totals[..., None]
+    counts = np.zeros(pvals.shape, dtype=np.int64)
+    for i in range(rows):
+        for b in range(pvals.shape[1]):
+            if errors[i] is not None:
+                break
+            rng = generator(i)
+            if totals[i, b] <= 0:
+                errors[i] = _NO_MASS
+                break
+            counts[i, b] = rng.multinomial(config.shots, weights[i, b])
+    freqs = (counts / config.shots)[..., :width].reshape(rows, n)
+    return _TableColumns(table.slots, [table.outcomes[j] for j in order], freqs, config.shots)
 
 
 class _ColumnRunner(_Runner):
@@ -917,12 +981,15 @@ class _ColumnRunner(_Runner):
     row's scenario settles every experiment's configuration.  ``table`` runs
     an experiment's kernel call for every row at once and keeps its config
     and cleaned columns; ``_ExperimentRunner`` reads one row of them.  As the
-    certifier of exact rows, it is ``_ExperimentRunner`` for all of them at
-    once: ``experiment`` returns the columns, and a row whose table fails
-    validation keeps, in ``errors``, the first message it meets in execution
-    order.  ``certified`` keeps the group's ``macrocert._certify_columns``
-    result once a row has asked.  The group holds its scenarios, not the row
-    set, so no reference cycle outlives a sweep.
+    certifier of sweep rows, it is ``_ExperimentRunner`` for all of them at
+    once: ``experiment`` returns the exact columns, or at finite shots every
+    row's sampled table (``_sample_columns``), drawn once per key with each
+    row's own child seeds in its own order, as each row's runner would draw
+    them.  A row that fails keeps, in ``errors``, the first message it meets
+    in execution order, and draws no more.  ``certified`` keeps the group's
+    ``macrocert._certify_columns`` result once a row has asked.  The group
+    holds its scenarios, not the row set, except that ``rows`` is the row
+    set while the group samples, so no reference cycle outlives a sweep.
     """
 
     def __init__(self, s: Scenario):
@@ -932,7 +999,17 @@ class _ColumnRunner(_Runner):
         self.entries = math.prod(len(q.outcomes) for q in self.observables) * s.dimension**2
         self.errors: list[str | None] = []
         self.certified: list | None = None
+        self.rows: _RowSet | None = None
         self._tables: dict[tuple, tuple[ProtocolConfig, _TableColumns]] = {}
+        self._sampled: dict[str, _TableColumns] = {}
+        self._draws: list[int] = []
+
+    def start(self, rows: _RowSet) -> None:
+        """Begin certifying the group's rows, which draw from ``rows``: no errors, no draws yet."""
+        self.rows = rows
+        self.errors = [None] * len(self.scenarios)
+        self._draws = [0] * len(self.scenarios)
+        self._sampled = {}
 
     def table(self, request: tuple) -> tuple[ProtocolConfig, _TableColumns]:
         """The config and cleaned columns of the experiment ``request`` = ``(measured, mechanism, clean)``.
@@ -962,19 +1039,33 @@ class _ColumnRunner(_Runner):
         """Record each row's error unless it already has one."""
         self.errors = [old or new for old, new in zip(self.errors, errors)]
 
-    def experiment(
-        self,
-        measured: tuple[int, ...],
-        mechanism: tuple[int, ...] | None = None,
-        clean: bool = False,
-        key: str | None = None,
-    ) -> _TableColumns:
-        """``_ExperimentRunner.experiment`` for every row; ``key`` names nothing here."""
-        if mechanism is None:
-            mechanism = self._mechanism(measured)
-        _, table = self.table((measured, mechanism, clean))
-        self.fail(table.errors)
-        return table
+    def _generator(self, row: int) -> np.random.Generator:
+        rng = self.rows.generator(self.scenarios[row].seed, self._draws[row])
+        self._draws[row] += 1
+        return rng
+
+    def _run(self, key: str, request: tuple) -> _TableColumns:
+        if not self.s.shots:
+            _, table = self.table(request)
+            self.fail(table.errors)
+            return table
+        if key not in self._sampled:
+            # Each row still running asks for the columns, as its own runner
+            # does: a kernel call that fails is not kept, so each one makes it
+            # until one succeeds, and the rest read the kept columns.
+            table = None
+            for i, error in enumerate(self.errors):
+                if error is None:
+                    try:
+                        config, table = self.table(request)
+                        break
+                    except ValidationError as exc:
+                        self.errors[i] = str(exc)
+            if table is None:
+                # no row is still running: every one keeps the error it has
+                raise ValidationError("no row of the group is still running")
+            self._sampled[key] = _sample_columns(table, config, self.errors, self._generator)
+        return self._sampled[key]
 
 
 def _one_row(
@@ -1203,16 +1294,20 @@ def _generator(seed: int | np.random.Generator) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+_NO_MASS = "table has no probability mass to sample"
+
+
 def _frequencies(pvals: Sequence[float], shots: int, rng: np.random.Generator) -> list[float]:
     """counts/shots of one multinomial draw over the weights ``pvals``, normalised to sum 1.
 
-    The one sampling step: ``sample_counts`` and every INRM configuration
-    draw through it.
+    The one sampling step of a single table: ``sample_counts`` and every
+    INRM configuration draw through it, and ``_sample_columns`` draws every
+    row's tables as it would.
     """
     pvals = np.array(pvals, dtype=float)
     total = pvals.sum()
     if total <= 0:
-        raise ValidationError("table has no probability mass to sample")
+        raise ValidationError(_NO_MASS)
     return (rng.multinomial(shots, pvals / total) / shots).tolist()
 
 

@@ -167,3 +167,54 @@ def test_integral_list_entries_are_accepted():
     assert dephased.config.dephase_times == (1, 2)
     assert scenario_from_dict(lg3_scenario(protocol={"dephase_times": []})).config.dephase_times is None
     assert scenario_from_dict(many_valued_scenario([3.0, -1])).observable.labels == (3, -1)
+
+
+KICK2 = {"kind": "unitary_kick", "strength": 0.3, "generator": matrix_to_json(np.diag([1.0, -1.0]))}
+
+
+@pytest.mark.parametrize("data, message", [
+    (lg3_scenario(schedule=[True, 2, 3]), "schedule: must be a number, got True"),
+    (lg3_scenario(schedule=["1", "2", "3"]), "schedule: must be a number, got '1'"),
+    (lg3_scenario(schedule=[1.0, None, 3.0]), "schedule: must be a number, got None"),
+    (lg3_scenario(hamiltonian={"preset": "precession", "frequency": True}),
+     "hamiltonian.frequency: must be a number, got True"),
+    (lg3_scenario(hamiltonian={"preset": "precession", "frequency": "1.0"}),
+     "hamiltonian.frequency: must be a number, got '1.0'"),
+    (lg3_scenario(protocol={"mode": "projective", "clumsiness": {"kind": "depolarizing", "strength": True}}),
+     "protocol.clumsiness.strength: must be a number, got True"),
+    (lg3_scenario(protocol={"mode": "projective", "clumsiness": {"kind": "depolarizing", "strength": "0.1"}}),
+     "protocol.clumsiness.strength: must be a number, got '0.1'"),
+    (lg3_scenario(protocol={"mode": "projective", "clumsiness": dict(KICK2, strength=False)}),
+     "protocol.clumsiness.strength: must be a number, got False"),
+    (lg3_scenario(checks="LG3"), "checks: must be a list, got 'LG3'"),
+    (lg3_scenario(checks=5), "checks: must be a list, got 5"),
+])
+def test_number_fields_and_checks_reject_wrong_types(data, message, tmp_path, capsys):
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(data)
+    assert str(info.value) == message
+    assert main(["certify", write_json(tmp_path, "bad.json", data)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_numbers_of_either_type_are_accepted():
+    scenario = scenario_from_dict(lg3_scenario(
+        schedule=[1, 2.5, 3],
+        hamiltonian={"preset": "precession", "frequency": 2},
+        protocol={"mode": "projective", "clumsiness": {"kind": "depolarizing", "strength": 0}},
+        checks=("LG3",),
+    ))
+    assert scenario.schedule.times == (1.0, 2.5, 3.0)
+    assert scenario.config.clumsiness.strength == 0.0 and scenario.checks == ("LG3",)
+    assert np.array_equal(scenario.hamiltonian.matrix, scenario_from_dict(
+        lg3_scenario(hamiltonian={"preset": "precession", "frequency": 2.0})).hamiltonian.matrix)
+
+
+@pytest.mark.parametrize("parameter, values, message", [
+    ("schedule.gap", (0.5, "0.5", True), "schedule.gap: must be a number, got {!r}"),
+    ("protocol.clumsiness.strength", (0.1, "0.1", True), "protocol.clumsiness.strength: must be a number, got {!r}"),
+])
+def test_non_numeric_sweep_values_become_error_rows(parameter, values, message):
+    template = lg3_scenario(protocol={"mode": "projective", "clumsiness": {"kind": "depolarizing", "strength": 0.0}})
+    rows = run_sweep(SweepSpec(template, parameter, values))
+    assert [r["error"] for r in rows] == [""] + [message.format(v) for v in values[1:]]

@@ -536,3 +536,19 @@ class TestFineExtension:
         out = fine_extension(table, table)
         assert out.total() == pytest.approx(1.0, abs=1e-10)
         assert out.raw((-1, -1, -1, -1)) == 0.0
+
+
+def test_the_gate_falls_back_to_verdict_tol_at_zero_variance():
+    # One gate serves ``_result``, ``check_nsit`` and the column evaluators,
+    # on floats and on arrays alike: three standard errors, or the exact
+    # tolerance where the variance is 0.
+    from lgcert.macrocert import VERDICT_TOL, _result, _tolerance
+
+    assert _tolerance(0.0) == VERDICT_TOL and _tolerance(0.0, 0.0) == 0.0
+    assert _tolerance(4.0) == 6.0 and _tolerance(4.0, 0.0) == 6.0
+    assert _tolerance(np.array([0.0, 4.0, 0.0])).tolist() == [VERDICT_TOL, 6.0, VERDICT_TOL]
+    assert _tolerance(np.array([0.0, 4.0]), 0.0).tolist() == [0.0, 6.0]
+    exact = _result("c", -0.5 * VERDICT_TOL, 0.0)
+    assert (exact.verdict, exact.stderr) == ("satisfied", None)
+    sampled = _result("c", -0.5 * VERDICT_TOL, 1e-40)
+    assert (sampled.verdict, sampled.stderr) == ("violated", 1e-20)

@@ -17,7 +17,7 @@ import pytest
 from lgcert import protocols
 from lgcert.cli import SweepSpec, run_certification, run_sweep, scenario_from_dict
 
-from test_sweep_batch import D2_INRM_SHOTS, README_SCENARIO, SWEEPS, bits, own_row
+from test_sweep_batch import D2_INRM_SHOTS, INRM_SPLIT, README_SCENARIO, SWEEPS, bits, own_row
 
 # Kernel calls per ``SWEEPS`` entry.  ``checks-shots`` is a finite-shot sweep
 # whose rows differ in their checks, so each set of checks is its own group.
@@ -131,3 +131,14 @@ def test_sweeps_leave_no_cyclic_garbage(name):
 @pytest.mark.parametrize("template", [README_SCENARIO, D2_INRM_SHOTS], ids=["exact", "shots"])
 def test_certifications_leave_no_cyclic_garbage(template):
     assert cyclic_garbage(lambda: run_certification(scenario_from_dict(template))) == 0
+
+
+def test_a_finite_shot_group_whose_rows_all_fail_stops(kernel_rows):
+    # On these seeds every row's sampled NSIT marginal exceeds 1, so no row
+    # reaches NSIT3: its experiments make no kernel call and draw nothing.
+    template = dict(INRM_SPLIT, checks=["NSIT", "NSIT3", "LG3"])
+    values = (1, 4, 6, 7)
+    rows = run_sweep(SweepSpec(template=template, parameter="seed", values=values))
+    assert [r["error"].split(" ")[0] for r in rows] == ["probability"] * 4
+    assert len(kernel_rows) == 4
+    assert [bits(r) for r in rows] == [bits(own_row(template, "seed", v)) for v in values]
