@@ -100,7 +100,7 @@ def _integer(name: str, value) -> int:
 
 def _number(name: str, value) -> float:
     """A real-number field: an int or a float, never a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
         raise ScenarioError(f"{name}: must be a number, got {value!r}")
     try:
         return float(value)
@@ -389,18 +389,18 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     clumsiness-strength sweep shares one eigendecomposition.  The rows are
     split into groups before any row runs: rows that differ only in schedule
     times or clumsiness strength and share their checks and moment source
-    form one group, which runs each experiment in one kernel call.  Exact
-    rows (``shots == 0``) are evaluated as columns: the first row of a group
-    that asks computes every row's moments, margins and verdicts from the
-    group's (R, N) arrays, accumulating in the scalar code's order, and
-    builds no per-row table.  Finite-shot rows are evaluated per row, each
-    from its row of its group's arrays: rows that share a seed share its
-    child seeds and their generator states (each child is spawned and
-    seeded once per sweep, and each row's draws restore those states in the
-    row's own order), while sampling and checks stay per row.  Finite-shot
-    rows whose checks differ therefore share no kernel call, and where the
-    cap on a call's entries binds, a group is sized by the whole schedule.
-    Either way every row equals ``run_certification`` on its own scenario,
+    form one group, which runs each experiment in one kernel call.  Every
+    row is evaluated as a column of its group: the first row of a group that
+    asks computes every row's moments, variances, margins and verdicts from
+    the group's (R, N) arrays, accumulating in the scalar code's order, and
+    builds no per-row table.  At finite shots the arrays hold each row's
+    sampled frequencies, and sampling stays per row: each row draws its own
+    multinomials from its own child seeds, in its own certification's
+    order.  Rows that share a seed share its child seeds and their generator
+    states (each child is spawned and seeded once per sweep, and each draw
+    restores its state).  Rows whose checks differ share no kernel call, and
+    where the cap on a call's entries binds, a group is sized by the whole
+    schedule.  Every row equals ``run_certification`` on its own scenario,
     bit for bit.  A row that fails, including one whose value is malformed
     or whose exact table fails validation, carries its error message in the
     ``error`` field and the sweep continues.

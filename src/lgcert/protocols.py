@@ -954,10 +954,11 @@ def _sample_columns(
     ]
     pvals = _clip(table.values[:, order], 0.0, 1.0).reshape(rows, -1, width)
     if config.uses_detectors:
-        # the discard cell of each block, from its entries in table order
+        # each block's discard cell from its entries in table order; a block
+        # holds two, so adding columns is the builtin sum on any Python
         discard = 1.0 - sum(table.values.reshape(rows, -1, width).transpose(2, 0, 1))
         pvals = np.concatenate([pvals, np.where(discard > 0.0, discard, 0.0)[..., None]], axis=2)
-    totals = pvals.sum(axis=2)
+    totals = pvals.sum(axis=2)  # numpy's reduction per draw, as ``_frequencies`` totals one
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = pvals / totals[..., None]
     counts = np.zeros(pvals.shape, dtype=np.int64)

@@ -30,7 +30,9 @@ from one sampled table in ``inrm`` and in ``projective``; NSIT3 and MONO on
 a many-valued observable; APPENDIX; an ``ancilla_blind`` strength sweep; a
 gap where every outcome is certain, so that every variance is 0; and an
 INRM seed sweep whose two-time marginals exceed 1 on some rows, which fail
-alone.  Each row draws the same child-seed streams as its own certification.
+alone.  Each row draws the same child-seed streams as its own certification,
+its moments, variances and standard errors equal its own certification's
+bit for bit, and a 64-row finite-shot gap sweep builds no per-row table.
 """
 
 from __future__ import annotations
