@@ -220,11 +220,14 @@ def scenario_from_dict(data: Mapping[str, Any], template: Scenario | None = None
     h = parsed("hamiltonian", _parse_hamiltonian, {"preset": "precession"})
     obs = parsed("observable", _parse_observable, "sigma_z")
 
-    if "schedule" not in data:
-        raise ScenarioError("schedule: missing")
-    schedule = _field(
-        "schedule", lambda times: Schedule(tuple(_number("schedule", t) for t in times)), data["schedule"]
-    )
+    try:
+        schedule = Schedule(tuple(_number("schedule", t) for t in data["schedule"]))
+    except KeyError:
+        raise ScenarioError("schedule: missing") from None
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError, ValidationError) as exc:
+        raise ScenarioError(f"schedule: {exc}") from exc
 
     proto = data.get("protocol", {}) or {}
     if not isinstance(proto, Mapping):
@@ -354,7 +357,10 @@ def _row_data(template: Mapping[str, Any], parameter: str, value) -> dict:
     """The template with ``value`` set at ``parameter``; only the dicts along the path are copied."""
     data = dict(template)
     if parameter == "schedule.gap":
-        m = _field("schedule.gap", len, template.get("schedule", [])) or 3
+        try:
+            m = len(template.get("schedule", [])) or 3
+        except TypeError as exc:
+            raise ScenarioError(f"schedule.gap: {exc}") from exc
         gap = _number("schedule.gap", value)
         data["schedule"] = [gap * (k + 1) for k in range(m)]
         return data

@@ -18,10 +18,12 @@ their schedule times and clumsiness, as the rows of a sweep do; a single run
 is one row.
 
 A row set of scenarios splits its rows into groups once, each group one
-runner that makes its rows' kernel calls and keeps their cleaned entries;
-a runner per row reads its row of them into a certification's independent
-experiments and seeds their sampling.  The library entry points are one-row
-calls on them, as certifications and sweeps are.
+runner that makes its rows' kernel calls and keeps their cleaned entries.
+A sweep's group also samples every row's experiments, each row from its own
+child seeds, into (R, N) frequency arrays; for a certification, a runner per
+row reads its row of them into the independent experiments and seeds their
+sampling.  The library entry points are one-row calls on them, as
+certifications are.
 """
 
 from __future__ import annotations
