@@ -100,7 +100,9 @@ def _integer(name: str, value) -> int:
 
 def _number(name: str, value) -> float:
     """A real-number field: an int or a float, never a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Real)):
         raise ScenarioError(f"{name}: must be a number, got {value!r}")
     try:
         return float(value)

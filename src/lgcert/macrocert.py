@@ -170,8 +170,10 @@ def _tolerance(variance, exact: float = VERDICT_TOL):
     return 3.0 * math.sqrt(variance) if variance > 0.0 else exact
 
 
-def _row_total(terms: Sequence[np.ndarray]) -> np.ndarray:
-    """The builtin ``sum`` of each row's terms, one column per term."""
+def _row_total(terms: Sequence):
+    """The builtin ``sum`` of the terms, taken per row when they are columns (an exact group's variances are 0.0)."""
+    if isinstance(terms[0], float):
+        return sum(terms)
     return np.array(_row_sums(np.stack(terms, axis=1)))
 
 
@@ -743,9 +745,9 @@ def _condition_block(ids: list[str], margins: np.ndarray, variances: np.ndarray)
 
 
 def _margin_block(results: Sequence[tuple[str, np.ndarray, np.ndarray]]) -> _Block:
-    """``_condition_block`` of (id, margin column, variance column) triples."""
+    """``_condition_block`` of (id, margin column, variance column or 0.0) triples."""
     ids, margins, variances = zip(*results)
-    return _condition_block(list(ids), np.stack(margins, axis=1), np.stack(variances, axis=1))
+    return _condition_block(list(ids), np.stack(margins, axis=1), np.array(variances).T)
 
 
 def _witness_block(ids: list[str], witnesses: Sequence[tuple[np.ndarray, np.ndarray | None]]) -> _Block:
@@ -762,8 +764,8 @@ def _witness_block(ids: list[str], witnesses: Sequence[tuple[np.ndarray, np.ndar
     return _Block([ids] * len(max_abs), max_abs.tolist(), (~np.stack(invasive, axis=1).any(axis=1)).tolist(), True)
 
 
-# A group's moments: per key, every row's value and every row's variance.
-_Moments = tuple[dict[tuple[int, ...], np.ndarray], dict[tuple[int, ...], np.ndarray]]
+# A group's moments: per key, every row's value and every row's variance (0.0 if exact).
+_Moments = tuple[dict[tuple[int, ...], np.ndarray], dict[tuple[int, ...], Any]]
 
 
 @dataclass(frozen=True)
@@ -980,7 +982,7 @@ def _moment_column(key: tuple[int, ...], table: _TableColumns) -> tuple[np.ndarr
     """``_moment_from_table``'s clamped value and variance for every row, each added up in table order."""
     _require_dichotomic(key, table.slots)
     value = _clip(_signed_sum(zip(table.outcomes, table.values.T)), -1.0, 1.0)
-    return value, sum(table.variances.T, 0.0)
+    return value, sum(table.variances.T, 0.0) if table.shots else 0.0
 
 
 def _moment_columns(runner: _ColumnRunner, moment_times: list[tuple[int, ...]]) -> _Moments | None:

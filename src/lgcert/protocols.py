@@ -1053,9 +1053,8 @@ class _ColumnRunner(_Runner):
             self.fail(table.errors)
             return table
         if key not in self._sampled:
-            # Each row still running asks for the columns, as its own runner
-            # does: a kernel call that fails is not kept, so each one makes it
-            # until one succeeds, and the rest read the kept columns.
+            # each row still running asks, as its own runner does: a kernel
+            # call that fails is not kept, so the next row makes it again
             table = None
             for i, error in enumerate(self.errors):
                 if error is None:
@@ -1064,8 +1063,7 @@ class _ColumnRunner(_Runner):
                         break
                     except ValidationError as exc:
                         self.errors[i] = str(exc)
-            if table is None:
-                # no row is still running: every one keeps the error it has
+            if table is None:  # every row keeps the error it has
                 raise ValidationError("no row of the group is still running")
             self._sampled[key] = _sample_columns(table, config, self.errors, self._generator)
         return self._sampled[key]

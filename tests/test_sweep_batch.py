@@ -46,11 +46,14 @@ import pytest
 from lgcert.cli import SweepSpec, _row_data, run_certification, run_sweep, scenario_from_dict
 from lgcert.macrocert import (
     _LG2_PAIRS,
+    _candidate_entries,
     _certify,
     _lg2_margins,
     _lg3_margins,
+    _lg4_margins,
     _moment_columns,
     _moment_times,
+    _nonnegativity_margins,
     _nsit3_witnesses,
     _nsit_columns,
     _row_total,
@@ -466,8 +469,8 @@ def hexes(values):
 def test_finite_shot_column_statistics_are_each_rows_own(name):
     # A verdict hides the last bits of a variance, so compare the statistics
     # themselves with each row's own certification, bit for bit: moments and
-    # their variances, the LG conditions' standard errors, and each NSIT
-    # witness's defects and standard errors.
+    # their variances, the LG and NONNEG conditions' standard errors, and
+    # each NSIT witness's defects and standard errors.
     template, parameter, values = SWEEPS[name]
     parsed = scenario_from_dict(template)
     scenarios = []
@@ -492,6 +495,11 @@ def test_finite_shot_column_statistics_are_each_rows_own(name):
                 conditions += _lg3_margins(m, v.__getitem__, _row_total)
             elif check == "LG2":
                 conditions += [c for i, j in _LG2_PAIRS for c in _lg2_margins(m, v.__getitem__, i, j)]
+            elif check == "LG4":
+                conditions += _lg4_margins(m, v.__getitem__, _row_total)
+            elif check in ("NONNEG3", "NONNEG4"):
+                entries = _candidate_entries(m, v.__getitem__, int(check[-1]), _row_total)
+                conditions += _nonnegativity_margins(*entries)
             elif check == "NSIT":
                 witnesses.append(_nsit_columns(group, *group.nsit_pair(), (1,)))
             elif check == "NSIT3":
