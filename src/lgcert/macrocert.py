@@ -752,15 +752,10 @@ def _margin_block(results: Sequence[tuple[str, np.ndarray, np.ndarray]]) -> _Blo
 
 def _witness_block(ids: list[str], witnesses: Sequence[tuple[np.ndarray, np.ndarray | None]]) -> _Block:
     """NSIT witnesses from their (R, K) defects and variances (``None`` if exact), judged as ``check_nsit`` does."""
-    max_abs, invasive = [], []
-    for defects, variances in witnesses:
-        size = np.abs(defects)
-        max_abs.append(size.max(axis=1))
-        if variances is None:
-            invasive.append(_invasive(max_abs[-1]))
-        else:
-            invasive.append(_invasive(size, _tolerance(variances, 0.0)).any(axis=1))
-    max_abs = np.stack(max_abs, axis=1)
+    sizes = [(np.abs(defects), variances) for defects, variances in witnesses]
+    max_abs = np.stack([size.max(axis=1) for size, _ in sizes], axis=1)
+    invasive = [_invasive(size.max(axis=1)) if variances is None else
+                _invasive(size, _tolerance(variances, 0.0)).any(axis=1) for size, variances in sizes]
     return _Block([ids] * len(max_abs), max_abs.tolist(), (~np.stack(invasive, axis=1).any(axis=1)).tolist(), True)
 
 

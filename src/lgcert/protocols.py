@@ -940,13 +940,12 @@ def _sample_columns(
 
     The entries come out in the order each row's sampled ``OutcomeTable``
     holds them.  A directly measured table is one multinomial over its
-    entries, each clamped to [0, 1], in sorted outcome order.  An INRM table
-    is one multinomial per detector configuration, in couplings product
-    order, over its block's entries in sorted order and its discard cell,
-    1 - the builtin ``sum`` of the block's entries, at least 0.  Row i draws
-    each multinomial from the generator ``generator(i)`` returns, called
-    once per multinomial in that order.  A row whose ``errors`` entry is set
-    draws no more, and a draw without probability mass sets it.
+    entries, each clamped to [0, 1], in sorted outcome order; an INRM table
+    is one per detector configuration, in couplings product order, over its
+    block's entries in sorted order and its discard cell, 1 - the builtin
+    ``sum`` of the block's entries, at least 0.  Row i draws each in turn
+    from ``generator(i)``.  A row whose ``errors`` entry is set draws no
+    more, and a draw without probability mass sets it.
     """
     rows, n = table.values.shape
     width = len(table.slots[-1]) if config.uses_detectors else n
