@@ -31,8 +31,8 @@ a many-valued observable; APPENDIX; an ``ancilla_blind`` strength sweep; a
 gap where every outcome is certain, so that every variance is 0; and an
 INRM seed sweep whose two-time marginals exceed 1 on some rows, which fail
 alone.  Each row draws the same child-seed streams as its own certification,
-its moments, variances and standard errors equal its own certification's
-bit for bit, and a 64-row finite-shot gap sweep builds no per-row table.
+and a 64-row finite-shot gap sweep builds no per-row table; the rows' column
+statistics are checked in ``test_finite_shot_columns.py``.
 """
 
 from __future__ import annotations
@@ -43,21 +43,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lgcert.cli import SweepSpec, _row_data, run_certification, run_sweep, scenario_from_dict
-from lgcert.macrocert import (
-    _LG2_PAIRS,
-    _candidate_entries,
-    _certify,
-    _lg2_margins,
-    _lg3_margins,
-    _lg4_margins,
-    _moment_columns,
-    _moment_times,
-    _nonnegativity_margins,
-    _nsit3_witnesses,
-    _nsit_columns,
-    _row_total,
-)
+from lgcert.cli import SweepSpec, run_certification, run_sweep, scenario_from_dict
 from lgcert.protocols import MODES, OutcomeTable, _RowSet, _table_errors
 from lgcert.qcore import ValidationError, matrix_to_json
 
@@ -459,60 +445,3 @@ def test_finite_shot_gap_sweep_builds_no_outcome_tables(monkeypatch):
     assert all(r["verdict"] != "error" for r in rows)
     assert len(built) == 0
 
-
-def hexes(values):
-    return [None if v is None else float(v).hex() for v in values]
-
-
-@pytest.mark.parametrize("name", ["d2-inrm-gap-shots", "derive-inrm-shots", "derive-projective-shots",
-                                  "many-valued-shots", "m4-lg4-nonneg-shots", "deterministic-shots"])
-def test_finite_shot_column_statistics_are_each_rows_own(name):
-    # A verdict hides the last bits of a variance, so compare the statistics
-    # themselves with each row's own certification, bit for bit: moments and
-    # their variances, the LG and NONNEG conditions' standard errors, and
-    # each NSIT witness's defects and standard errors.
-    template, parameter, values = SWEEPS[name]
-    parsed = scenario_from_dict(template)
-    scenarios = []
-    for value in values:
-        try:
-            scenarios.append(scenario_from_dict(_row_data(template, parameter, value), parsed))
-        except ValidationError:
-            continue
-    assert len(scenarios) >= 3
-    rows = _RowSet(scenarios)
-    groups = {}
-    for row, scenario in enumerate(scenarios):
-        group, index = rows.group(row)
-        groups.setdefault(id(group), (group, []))[1].append((index, scenario))
-    for group, members in groups.values():
-        group.start(rows)
-        s = group.s
-        m, v = _moment_columns(group, _moment_times(s)) or ({}, {})
-        conditions, witnesses = [], []
-        for check in s.checks:
-            if check == "LG3":
-                conditions += _lg3_margins(m, v.__getitem__, _row_total)
-            elif check == "LG2":
-                conditions += [c for i, j in _LG2_PAIRS for c in _lg2_margins(m, v.__getitem__, i, j)]
-            elif check == "LG4":
-                conditions += _lg4_margins(m, v.__getitem__, _row_total)
-            elif check in ("NONNEG3", "NONNEG4"):
-                entries = _candidate_entries(m, v.__getitem__, int(check[-1]), _row_total)
-                conditions += _nonnegativity_margins(*entries)
-            elif check == "NSIT":
-                witnesses.append(_nsit_columns(group, *group.nsit_pair(), (1,)))
-            elif check == "NSIT3":
-                witnesses += [_nsit_columns(group, *w[1:]) for w in _nsit3_witnesses(group)]
-        for i, scenario in members:
-            _, moments, own_conditions, own_witnesses = _certify(_RowSet([scenario]), 0)
-            if moments is not None:
-                assert hexes(moments.values.values()) == hexes(m[key][i] for key in moments.values)
-                assert hexes(moments.variances.values()) == hexes(v[key][i] for key in moments.variances)
-            stderrs = {c.condition: c.stderr for c in own_conditions}
-            assert hexes(stderrs[cid] for cid, _, _ in conditions) == hexes(
-                np.sqrt(var[i]) if var[i] > 0.0 else None for _, _, var in conditions
-            )
-            for (defects, variances), own in zip(witnesses, own_witnesses):
-                assert hexes(own.defects.values()) == hexes(defects[i])
-                assert hexes(own.stderrs.values()) == hexes(np.sqrt(variances[i]))
