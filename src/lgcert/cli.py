@@ -397,7 +397,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     clumsiness-strength sweep shares one eigendecomposition.  The rows are
     split into groups before any row runs: rows that differ only in schedule
     times or clumsiness strength and share their checks and moment source
-    form one group, which runs each experiment in one kernel call.  Every
+    form one group, which runs all its experiments in one walk.  Every
     row is evaluated as a column of its group: the first row of a group that
     asks computes every row's moments, variances, margins and verdicts from
     the group's (R, N) arrays, accumulating in the scalar code's order, and
@@ -406,7 +406,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     multinomials from its own child seeds, in its own certification's
     order.  Rows that share a seed share its child seeds and their generator
     states (each child is spawned and seeded once per sweep, and each draw
-    restores its state).  Rows whose checks differ share no kernel call, and
+    restores its state).  Rows whose checks differ share no walk, and
     where the cap on a call's entries binds, a group is sized by the whole
     schedule.  Every row equals ``run_certification`` on its own scenario,
     bit for bit.  A row that fails, including one whose value is malformed

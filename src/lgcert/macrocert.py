@@ -23,6 +23,7 @@ exact entries or of each row's sampled frequencies.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -49,6 +50,7 @@ from .protocols import (
     _ExperimentRunner,
     _marginal_columns,
     _row_sums,
+    _Runner,
     _RowSet,
     _TableColumns,
     marginal_distribution,
@@ -765,18 +767,21 @@ _Moments = tuple[dict[tuple[int, ...], np.ndarray], dict[tuple[int, ...], Any]]
 
 @dataclass(frozen=True)
 class _Check:
-    """One check: minimum times, moments read, and its evaluators.
+    """One check: minimum times, moments read, its evaluators and its own experiments.
 
-    ``evaluate`` runs any further experiments it needs on one row's runner
+    ``evaluate`` runs the further experiments it needs on one row's runner
     and returns its results; ``columns`` does the same for a group of rows
     on a ``_ColumnRunner``, with moments and variances as one array per
-    key, and returns one ``_Block``.
+    key, and returns one ``_Block``.  ``experiments`` is the function both
+    of them ask those experiments through; on a bare ``_Runner`` it plans
+    them (``_plan``).
     """
 
     min_times: int
     moments: tuple[tuple[int, ...], ...]
     evaluate: Callable[[_ExperimentRunner, MomentSet | None], Sequence[ConditionResult | WitnessReport]]
     columns: Callable[[_ColumnRunner, _Moments | None], _Block]
+    experiments: Callable[[_Runner], Any] = lambda runner: None
 
 
 def _nonnegativity(m: MomentSet, n: int) -> tuple[ConditionResult, ...]:
@@ -910,9 +915,10 @@ _CHECKS = {
     "LG3": _Check(3, ((1, 2), (2, 3), (1, 3)), lambda r, m: check_lg3(m).entries, _lg3_columns),
     "LG4": _Check(4, ((1, 2), (2, 3), (3, 4), (1, 4)), lambda r, m: check_lg4(m).entries, _lg4_columns),
     "NSIT": _Check(
-        2, (), lambda r, m: [check_nsit(*r.nsit_pair(), (1,), condition="NSIT-(2;12)")], _nsit2_columns
+        2, (), lambda r, m: [check_nsit(*r.nsit_pair(), (1,), condition="NSIT-(2;12)")], _nsit2_columns,
+        _Runner.nsit_pair,
     ),
-    "NSIT3": _Check(3, (), _nsit3, _nsit3_columns),
+    "NSIT3": _Check(3, (), _nsit3, _nsit3_columns, _nsit3_witnesses),
     "NONNEG3": _Check(
         3, ((1,), (2,), (3,), (1, 2), (2, 3), (1, 3), (1, 2, 3)), lambda r, m: _nonnegativity(m, 3),
         lambda r, m: _nonnegativity_columns(r, m, 3),
@@ -921,7 +927,8 @@ _CHECKS = {
         4, tuple(moment_keys(4)), lambda r, m: _nonnegativity(m, 4),
         lambda r, m: _nonnegativity_columns(r, m, 4),
     ),
-    "MONO": _Check(2, (), lambda r, m: check_monotonicity(*r.nsit_pair()).entries, _monotonicity_columns),
+    "MONO": _Check(2, (), lambda r, m: check_monotonicity(*r.nsit_pair()).entries, _monotonicity_columns,
+                   _Runner.nsit_pair),
     "APPENDIX": _Check(2, (), lambda r, m: _appendix_entries(r.s), _appendix_columns),
 }
 
@@ -942,6 +949,29 @@ def _moment_times(s) -> list[tuple[int, ...]]:
     return sorted({times for name in s.checks for times in _CHECKS[name].moments})
 
 
+def _moment_experiments(runner: _Runner, moment_times: list[tuple[int, ...]]) -> dict[tuple[int, ...], Any]:
+    """The experiments the moments are read from, by their times: the top one alone if derived."""
+    if runner.s.derive_lower_moments:
+        top = tuple(range(1, max(max(t) for t in moment_times) + 1))
+        return {top: runner.experiment(top)}
+    return {times: runner.experiment(times) for times in moment_times}
+
+
+def _plan(runner: _Runner) -> list[tuple]:
+    """The requests of every experiment a certification of ``runner.s`` runs, in its order, asked of a bare runner.
+
+    The plan stops at an error, which the certification meets at the same experiment.
+    """
+    recorder = _Runner(runner.s, runner.observables)
+    with contextlib.suppress(ValidationError):
+        moment_times = _moment_times(runner.s)
+        if moment_times:
+            _moment_experiments(recorder, moment_times)
+        for name in runner.s.checks:
+            _CHECKS[name].experiments(recorder)
+    return recorder.requests
+
+
 def _certify(
     rows: _RowSet, row: int
 ) -> tuple[dict[str, OutcomeTable], MomentSet | None, list[ConditionResult], list[WitnessReport]]:
@@ -955,15 +985,16 @@ def _certify(
     s = runner.s
     n_times = len(s.schedule)
     _require_times(s)
+    runner.group.walk(_plan(runner))
 
     moment_times = _moment_times(s)
     moments: MomentSet | None = None
-    if moment_times and s.derive_lower_moments:
-        top = tuple(range(1, max(max(t) for t in moment_times) + 1))
-        moments = moments_from_single_table(runner.experiment(top))
-    elif moment_times:
-        sources = {times: runner.experiment(times) for times in moment_times}
-        moments = moments_from_tables(sources, n=min(n_times, 4))
+    if moment_times:
+        sources = _moment_experiments(runner, moment_times)
+        if s.derive_lower_moments:
+            moments = moments_from_single_table(*sources.values())
+        else:
+            moments = moments_from_tables(sources, n=min(n_times, 4))
 
     conditions: list[ConditionResult] = []
     witnesses: list[WitnessReport] = []
@@ -984,16 +1015,14 @@ def _moment_columns(runner: _ColumnRunner, moment_times: list[tuple[int, ...]]) 
     """The moments of ``_certify`` and their variances for every row, with ``MomentSet``'s range check."""
     if not moment_times:
         return None
+    sources = _moment_experiments(runner, moment_times)
     if runner.s.derive_lower_moments:
-        top = tuple(range(1, max(max(t) for t in moment_times) + 1))
-        table = runner.experiment(top)
+        (top, table), = sources.items()
         sources = {}
         for order in range(1, len(top) + 1):
             for positions in itertools.combinations(top, order):
                 sources[positions] = _marginal_columns(table, positions)
                 runner.fail(sources[positions].errors)
-    else:
-        sources = {times: runner.experiment(times) for times in moment_times}
     columns = {key: _moment_column(key, table) for key, table in sources.items()}
     for key, (value, _) in columns.items():
         runner.fail(_moment_error(key, v) for v in value.tolist())
@@ -1019,6 +1048,7 @@ def _certify_columns(runner: _ColumnRunner, rows: _RowSet) -> list[str | tuple[d
     blocks: list[_Block] = []
     try:
         _require_times(s)
+        runner.walk(_plan(runner))
         moments = _moment_columns(runner, _moment_times(s))
         blocks = [_CHECKS[name].columns(runner, moments) for name in s.checks]
     except ValidationError as exc:

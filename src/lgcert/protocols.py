@@ -9,16 +9,19 @@ injection at the first measurement, and finite-shot multinomial sampling.
 
 Probabilities are computed by unnormalized branch propagation: branch weights
 are carried through the whole run and never divided by, so zero-probability
-branches simply report zero for all continuations.  One kernel, ``_propagate``,
-serves every protocol: it carries all branches as one (B, d, d) stack, builds
-every time step's unitary from the Hamiltonian's cached spectrum in one
-vectorised exp, and runs every INRM detector configuration in the same pass.
-A leading row axis lets one call serve several runs that differ only in
-their schedule times and clumsiness, as the rows of a sweep do; a single run
-is one row.
+branches simply report zero for all continuations.  One kernel, ``_walk``,
+serves every protocol: it runs many experiments at once as one depth-first
+walk over the trie of their op sequences (``_path``), so every shared prefix
+of evolutions, mechanisms, kicks and projections is propagated once.  It
+carries all branches as one (B, d, d) stack, builds every distinct step's
+unitary from the Hamiltonian's cached spectrum in one vectorised exp, and
+runs every INRM detector configuration in the same pass.  A leading row axis
+lets one walk serve several runs that differ only in their schedule times
+and clumsiness, as the rows of a sweep do; a single run is one row.
 
 A row set of scenarios splits its rows into groups once, each group one
-runner that makes its rows' kernel calls and keeps their cleaned entries.
+runner that plans its rows' experiments, walks them once and keeps their
+cleaned entries.
 A sweep's group also samples every row's experiments, each row from its own
 child seeds, into (R, N) frequency arrays; for a certification, a runner per
 row reads its row of them into the independent experiments and seeds their
@@ -339,30 +342,30 @@ def _as_observable_list(q, n: int) -> list[Observable]:
     return obs
 
 
-def _propagate(
-    rho: DensityOperator,
-    h: Hamiltonian,
-    observables: Sequence[Observable],
-    times: Sequence[Sequence[float]],
-    measured: Sequence[int],
-    dephase_at: frozenset[int],
-    clumsiness: Sequence[ClumsinessModel],
-    via_ancilla: bool,
-    trace_last: bool = False,
-) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Branch-propagate R rows of one experiment; return outcomes and unclamped probabilities.
+_DEPHASE, _BLIND, _READ, _TRACE = 1, 2, 1, 2  # a node's mechanism; its read-out, P m P or P m
 
-    The rows differ only in their schedule times (``times``, one sequence per
-    row) and clumsiness models (``clumsiness``, one per row, all of one kind
-    and triviality); a single run is the case R = 1.  All branches of all
-    rows travel as one (R, B, d, d) stack: one batched conjugation per time
-    step with per-row unitaries (every step of every row from one vectorised
-    exp over the cached spectrum), one batched projection per read-out
-    (every branch onto every outcome, in product order), one trace at the
-    end.  Each read-out is P_s m P_s, except that with ``trace_last``
-    the last one is read as Tr(P_s m), the final measurement of an INRM run.
-    Returns the outcome tuples in product order and an (R, N) array.
+
+def _path(
+    rho: DensityOperator, h: Hamiltonian, observables: Sequence[Observable], n_times: int,
+    measured: tuple[int, ...], config: ProtocolConfig, clumsy: bool, detectors: bool | None = None,
+) -> list[tuple[tuple, Observable]]:
+    """One experiment's ops for ``_walk``: per time step k, its node key and observable.
+
+    Step k evolves to the k-th time run; then the config's mechanism acts
+    if placed there, the rows' clumsiness if ``clumsy`` at the first
+    read-out, and a read-out branches each matrix m into P_s m P_s.  INRM
+    modes (``detectors``, by default ``config.uses_detectors``) put their
+    detectors at the measured times: they run the measured sub-schedule, so
+    a step may skip times, and read the last time as Tr(P_s m).  Equal keys
+    after equal prefixes make the same numpy calls.
     """
+    dephase_at = config.resolved_dephase_times(measured, n_times)
+    index = range(1, n_times + 1)
+    trace_last = config.uses_detectors if detectors is None else detectors
+    if trace_last:
+        observables = [observables[measured[0] - 1]] * len(measured)
+        index, dephase_at = measured, frozenset(measured.index(i) + 1 for i in dephase_at)
+        measured = range(1, len(measured) + 1)
     for obs in observables:
         if obs.dim != rho.dim:
             raise DimensionMismatchError(
@@ -375,35 +378,111 @@ def _propagate(
     measured = sorted(measured)
     if not measured:
         raise ValidationError("at least one measured time is required")
-    clumsy_at = measured[0] if not clumsiness[0].is_trivial else None
     last_relevant = max([*measured, *dephase_at]) if dephase_at else measured[-1]
-    d = rho.dim
-    times = np.asarray(times, dtype=float)[:, :last_relevant]
-    steps = times.copy()
-    steps[:, 1:] -= times[:, :-1]
-    unitaries = unitary_for(h, steps.ravel()).reshape(*steps.shape, d, d)
-    adjoints = unitaries.conj().swapaxes(-1, -2)
+    return [(
+        (
+            (index[k - 2] if k > 1 else 0, index[k - 1]),
+            id(observables[k - 1]),
+            (_BLIND if config.uses_ancilla else _DEPHASE) if k in dephase_at else 0,
+            clumsy and k == measured[0],
+            0 if k not in measured else _TRACE if trace_last and k == measured[-1] else _READ,
+        ),
+        observables[k - 1],
+    ) for k in range(1, last_relevant + 1)]
 
-    outcomes: list[tuple[int, ...]] = [()]
-    stack = rho.matrix[None, None]
-    for k in range(1, steps.shape[1] + 1):
-        stack = unitaries[:, k - 1, None] @ stack @ adjoints[:, k - 1, None]
-        obs = observables[k - 1]
-        if k in dephase_at:
-            if via_ancilla:
-                stack = _blind_stack(stack.reshape(-1, d, d), obs).reshape(stack.shape)
-            else:
-                stack = dephase_matrix(stack, obs)
-        if k == clumsy_at:
-            stack = _clumsy_stack(stack, clumsiness)
-        if k in measured:
-            projs = obs.projector_stack
-            branched = projs @ stack[:, :, None]
-            if not (trace_last and k == measured[-1]):
-                branched = branched @ projs
-            stack = branched.reshape(len(stack), -1, d, d)
-            outcomes = [o + (s,) for o in outcomes for s in obs.outcomes]
-    return outcomes, np.trace(stack, axis1=2, axis2=3).real
+
+class _Failure:
+    """A ``ValidationError`` kept by type and message, without the traceback that would make a cycle."""
+
+    def __init__(self, exc: ValidationError):
+        self.kind, self.message = type(exc), str(exc)
+
+    def throw(self):
+        raise self.kind(self.message)
+
+
+def _walk(
+    rho: DensityOperator, h: Hamiltonian, times: Sequence[Sequence[float]],
+    clumsiness: Sequence[ClumsinessModel], paths: Mapping[Any, list | _Failure],
+) -> dict[Any, tuple[list[tuple[int, ...]], np.ndarray] | _Failure]:
+    """Branch-propagate R rows of many experiments; return each one's outcomes and probabilities.
+
+    The rows differ only in their master schedule ``times`` and their
+    ``clumsiness`` models (all of one kind and triviality).  ``paths`` maps
+    each experiment to its ``_path`` or its planning ``_Failure``.  The walk
+    goes depth first through the trie of the paths, so every shared prefix
+    is run once (``_advance``), all branches of all rows as one
+    (R, B, d, d) stack; every distinct step's unitaries come from one
+    vectorised exp over the cached spectrum.  A node's stack is dropped once
+    its last child has read it, so about one root-to-leaf path is held.  An
+    experiment gets its outcome tuples in product order and the unclamped
+    (R, N) traces of its leaf, or the ``_Failure`` of its path's first node
+    that raised.
+    """
+    results = {request: path for request, path in paths.items() if isinstance(path, _Failure)}
+    live = [(request, path) for request, path in paths.items() if not isinstance(path, _Failure)]
+    if not live:
+        return results
+    steps = {step: i for i, step in enumerate(dict.fromkeys(key[0] for _, path in live for key, _ in path))}
+    d = rho.dim
+    t = np.asarray(times, dtype=float)
+    step_times = np.stack([t[:, b - 1] - t[:, a - 1] if a else t[:, b - 1] for a, b in steps], axis=1)
+    unitaries = unitary_for(h, step_times.ravel()).reshape(*step_times.shape, d, d)
+    adjoints = unitaries.conj().swapaxes(-1, -2)
+    # each pending node: its parent's stack, its depth, and the paths through it
+    pending: list[tuple[np.ndarray, int, list]] = []
+
+    def branch(stack: np.ndarray, depth: int, group: list) -> None:
+        children: dict[tuple, list] = {}
+        for request, path in group:
+            if len(path) > depth:
+                children.setdefault(path[depth][0], []).append((request, path))
+        pending.extend((stack, depth, child) for child in children.values())
+
+    branch(rho.matrix[None, None], 0, live)
+    while pending:
+        stack, depth, group = pending.pop()
+        key, obs = group[0][1][depth]
+        step = steps[key[0]]
+        try:
+            stack = _advance(stack, key, obs, unitaries[:, step, None], adjoints[:, step, None], clumsiness)
+        except ValidationError as exc:
+            results.update(dict.fromkeys((request for request, _ in group), _Failure(exc)))
+            continue
+        ended = [(request, path) for request, path in group if len(path) == depth + 1]
+        if ended:
+            outcomes = list(itertools.product(*(o.outcomes for k, o in ended[0][1] if k[-1])))
+            results.update(dict.fromkeys((r for r, _ in ended), (outcomes, np.trace(stack, axis1=2, axis2=3).real)))
+        branch(stack, depth + 1, group)
+    return results
+
+
+def _advance(stack: np.ndarray, key: tuple, obs: Observable, unitary, adjoint, clumsiness) -> np.ndarray:
+    """One node of the walk: its parent's (R, B, d, d) ``stack`` conjugated, then its mechanism, kick and read-out."""
+    d = stack.shape[-1]
+    stack = unitary @ stack @ adjoint
+    _, _, mechanism, clumsy, read = key
+    if mechanism == _BLIND:
+        stack = _blind_stack(stack.reshape(-1, d, d), obs).reshape(stack.shape)
+    elif mechanism == _DEPHASE:
+        stack = dephase_matrix(stack, obs)
+    if clumsy:
+        stack = _clumsy_stack(stack, clumsiness)
+    if read:
+        projs = obs.projector_stack
+        branched = projs @ stack[:, :, None]
+        if read == _READ:
+            branched = branched @ projs
+        stack = branched.reshape(len(stack), -1, d, d)
+    return stack
+
+
+def _leaf(rho: DensityOperator, h: Hamiltonian, times, clumsiness, path: list) -> tuple[list, np.ndarray]:
+    """A one-leaf ``_walk``: one experiment's outcomes and (R, N) probabilities, or its error raised."""
+    leaf = _walk(rho, h, times, clumsiness, {None: path})[None]
+    if isinstance(leaf, _Failure):
+        leaf.throw()
+    return leaf
 
 
 def _clumsy_stack(stack: np.ndarray, clumsiness: Sequence[ClumsinessModel]) -> np.ndarray:
@@ -441,9 +520,8 @@ def single_time_distribution(
     rho: DensityOperator, h: Hamiltonian, q: Observable, t: float
 ) -> OutcomeTable:
     """p(s) = Tr(P_s(t) rho) for a single measurement at time t."""
-    outcomes, raw = _propagate(
-        rho, h, [q], [(t,)], (1,), frozenset(), [ClumsinessModel.none()], False, trace_last=True
-    )
+    path = _path(rho, h, [q], 1, (1,), ProtocolConfig(), False, detectors=True)
+    outcomes, raw = _leaf(rho, h, [(t,)], [ClumsinessModel.none()], path)
     return OutcomeTable(
         slots=(tuple(q.outcomes),), probabilities=_clean_probs(dict(zip(outcomes, raw[0].tolist())))
     )
@@ -510,34 +588,15 @@ def _experiment_probabilities(
     config: ProtocolConfig,
     clumsiness: Sequence[ClumsinessModel],
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """The kernel run of one experiment for rows that differ only in schedule times and clumsiness.
+    """The one-leaf walk of one experiment for rows that differ only in schedule times and clumsiness.
 
     ``schedules`` (all of one length) and ``clumsiness`` (all of one kind and
     triviality) hold one entry per row; ``config`` gives the mode and the
-    mechanism, and its own clumsiness model is not used.  INRM modes put
-    their detectors at the measured times, so they run the measured
-    sub-schedule, branch on every detector outcome and read the last time as
-    a trace; ``_experiment_config`` keeps them only where the mechanism lies
-    among two or more measured times.  Returns the outcome tuples and an
-    (R, N) array of unclamped probabilities.
+    mechanism, and its own clumsiness model is not used.  Returns the
+    outcome tuples and an (R, N) array of unclamped probabilities.
     """
-    dephase_at = config.resolved_dephase_times(measured, len(schedules[0]))
-    if not config.uses_detectors:
-        times = [schedule.times for schedule in schedules]
-        return _propagate(
-            rho, h, observables, times, measured, dephase_at, clumsiness, config.uses_ancilla
-        )
-    return _propagate(
-        rho,
-        h,
-        [observables[measured[0] - 1]] * len(measured),
-        [[schedule[i - 1] for i in measured] for schedule in schedules],
-        range(1, len(measured) + 1),
-        frozenset(measured.index(i) + 1 for i in dephase_at),
-        clumsiness,
-        config.uses_ancilla,
-        trace_last=True,
-    )
+    path = _path(rho, h, observables, len(schedules[0]), measured, config, not clumsiness[0].is_trivial)
+    return _leaf(rho, h, [schedule.times for schedule in schedules], clumsiness, path)
 
 
 def _row_table(
@@ -681,12 +740,12 @@ class _RowSet:
     order, rows with the same batch signature, checks and moment source join
     one group, as many as one kernel call over the whole schedule holds
     within ``_BATCH_ENTRIES`` entries.  Each group is one ``_ColumnRunner``,
-    which runs each experiment's kernel call once for all its rows.  Sweep
+    which runs all its experiments in one walk for all its rows.  Sweep
     rows, exact or finite-shot, are certified by their group as columns; the
     single-row callers read their row of the group's columns through an
-    ``_ExperimentRunner``.  Rows whose checks differ thus share no kernel
-    call, and where the cap binds, a group is sized by the whole schedule,
-    not by each experiment's own branches.
+    ``_ExperimentRunner``.  Rows whose checks differ thus share no walk,
+    and where the cap binds, a group is sized by the whole schedule, not by
+    each experiment's own branches.
 
     It also owns finite-shot seeding.  Per scenario seed it keeps one
     ``SeedSequence`` root, spawned one child at a time, and the child seeds
@@ -751,11 +810,16 @@ class _RowSet:
 
 
 class _Runner:
-    """What both experiment runners share: one scenario's observables and its NSIT pair."""
+    """What both experiment runners share: one scenario's observables and its NSIT pair.
+
+    On its own a runner runs nothing: it records the request of each
+    experiment asked of it, in order, which is how a group plans its walk.
+    """
 
     def __init__(self, s: Scenario, observables: list[Observable]):
         self.s = s
         self.observables = observables
+        self.requests: list[tuple] = []
 
     def _mechanism(self, measured: tuple[int, ...]) -> tuple[int, ...]:
         """The protocol's own mechanism placement for an experiment measuring ``measured``."""
@@ -774,7 +838,7 @@ class _Runner:
         resolution) places the diagonalization; the scenario's clumsiness
         channel is injected before the experiment's first measurement unless
         ``clean``.  ``key`` names the experiment in a report, and a sampled
-        experiment is drawn once per key: two keys may share one kernel call
+        experiment is drawn once per key: two keys may share one request
         and still draw apart.
         """
         if mechanism is None:
@@ -786,7 +850,7 @@ class _Runner:
         return self._run(key, (measured, mechanism, clean))
 
     def _run(self, key: str, request: tuple) -> Any:
-        raise NotImplementedError
+        self.requests.append(request)
 
     def nsit_pair(self) -> tuple[Any, Any]:
         """The two-time NSIT experiment pair on the first two schedule times."""
@@ -977,18 +1041,22 @@ def _sample_columns(
 
 
 class _ColumnRunner(_Runner):
-    """One group of a row set: its scenarios, its kernel calls and its one store.
+    """One group of a row set: its scenarios, its walk and its one store.
 
     The rows share a batch signature, checks and moment source, so the first
-    row's scenario settles every experiment's configuration.  ``table`` runs
-    an experiment's kernel call for every row at once and keeps its config
-    and cleaned columns; ``_ExperimentRunner`` reads one row of them.  As the
-    certifier of sweep rows, it is ``_ExperimentRunner`` for all of them at
-    once: ``experiment`` returns the exact columns, or at finite shots every
-    row's sampled table (``_sample_columns``), drawn once per key with each
-    row's own child seeds in its own order, as each row's runner would draw
-    them.  A row that fails keeps, in ``errors``, the first message it meets
-    in execution order, and draws no more.  ``certified`` keeps the group's
+    row's scenario settles every experiment's configuration.  Before its
+    first experiment, a certification plans them all (``macrocert._plan``)
+    and ``walk`` runs them in one ``_walk`` for every row at once, keeping
+    each one's config and cleaned columns, or the error it met, which
+    ``table`` raises for each experiment that asks; ``_ExperimentRunner``
+    reads one row of them.  As the certifier of sweep rows, it is
+    ``_ExperimentRunner`` for all of them at once: ``experiment`` returns
+    the exact columns, or at finite shots every row's sampled table
+    (``_sample_columns``), drawn once per key with each row's own child
+    seeds in its own order, as each row's runner would draw them.  A row
+    that fails keeps, in ``errors``, the first message it meets in execution
+    order, and draws no more; an experiment it never asks for is walked but
+    draws nothing.  ``certified`` keeps the group's
     ``macrocert._certify_columns`` result once a row has asked.  The group
     holds its scenarios, not the row set, except that ``rows`` is the row
     set while the group samples, so no reference cycle outlives a sweep.
@@ -1013,28 +1081,46 @@ class _ColumnRunner(_Runner):
         self._draws = [0] * len(self.scenarios)
         self._sampled = {}
 
+    def walk(self, requests: Iterable[tuple]) -> None:
+        """Run every experiment of ``requests`` not run yet in one ``_walk`` for all rows.
+
+        Each experiment keeps its config and cleaned columns, or the
+        ``_Failure`` its planning or its path met, which ``table`` raises.
+        """
+        s = self.s
+        configs: dict[tuple, ProtocolConfig] = {}
+        paths: dict[tuple, list | _Failure] = {}
+        for request in requests:
+            if request in self._tables or request in paths:
+                continue
+            measured, mechanism, clean = request
+            try:
+                config = configs[request] = _experiment_config(s, measured, mechanism, clean)
+                paths[request] = _path(s.initial_state, s.hamiltonian, self.observables, len(s.schedule),
+                                       measured, config, not config.clumsiness.is_trivial)
+            except ValidationError as exc:
+                paths[request] = _Failure(exc)
+        times = [r.schedule.times for r in self.scenarios]
+        clumsiness = [r.config.clumsiness for r in self.scenarios]
+        for request, leaf in _walk(s.initial_state, s.hamiltonian, times, clumsiness, paths).items():
+            if not isinstance(leaf, _Failure):
+                config = configs[request]
+                leaf = (config, _table_columns(*leaf, self.observables, request[0], config))
+            self._tables[request] = leaf
+
     def table(self, request: tuple) -> tuple[ProtocolConfig, _TableColumns]:
         """The config and cleaned columns of the experiment ``request`` = ``(measured, mechanism, clean)``.
 
-        The first request runs its one kernel call; experiments under
-        different keys (a moment's and the NSIT pair's) may share one.
+        A request the group has not walked yet is walked on its own;
+        experiments under different keys (a moment's and the NSIT pair's)
+        may share one request.
         """
         entry = self._tables.get(request)
         if entry is None:
-            measured, mechanism, clean = request
-            s = self.s
-            config = _experiment_config(s, measured, mechanism, clean)
-            outcomes, raw = _experiment_probabilities(
-                s.initial_state,
-                s.hamiltonian,
-                self.observables,
-                [r.schedule for r in self.scenarios],
-                measured,
-                config,
-                [config.clumsiness if clean else r.config.clumsiness for r in self.scenarios],
-            )
-            entry = (config, _table_columns(outcomes, raw, self.observables, measured, config))
-            self._tables[request] = entry
+            self.walk([request])
+            entry = self._tables[request]
+        if isinstance(entry, _Failure):
+            entry.throw()
         return entry
 
     def fail(self, errors: Iterable[str | None]) -> None:
@@ -1052,18 +1138,13 @@ class _ColumnRunner(_Runner):
             self.fail(table.errors)
             return table
         if key not in self._sampled:
-            # each row still running asks, as its own runner does: a kernel
-            # call that fails is not kept, so the next row makes it again
-            table = None
-            for i, error in enumerate(self.errors):
-                if error is None:
-                    try:
-                        config, table = self.table(request)
-                        break
-                    except ValidationError as exc:
-                        self.errors[i] = str(exc)
-            if table is None:  # every row keeps the error it has
+            if all(error is not None for error in self.errors):  # every row keeps the error it has
                 raise ValidationError("no row of the group is still running")
+            try:
+                config, table = self.table(request)
+            except ValidationError as exc:  # every row still running meets it
+                self.fail([str(exc)] * len(self.errors))
+                raise
             self._sampled[key] = _sample_columns(table, config, self.errors, self._generator)
         return self._sampled[key]
 
@@ -1111,11 +1192,8 @@ def inrm_distribution(
         raise ValidationError("couplings must be +1 or -1")
     if config.shots > 0 and seed is None:
         raise ValidationError("seed is required for finite-shot INRM runs")
-    dephase_at = config.resolved_dephase_times(tuple(range(1, m + 1)), m)
-    outcomes, raw = _propagate(
-        rho, h, [q] * m, [schedule.times], range(1, m + 1), dephase_at, [config.clumsiness],
-        config.uses_ancilla, trace_last=True,
-    )
+    path = _path(rho, h, [q] * m, m, tuple(range(1, m + 1)), config, not config.clumsiness.is_trivial, True)
+    outcomes, raw = _leaf(rho, h, [schedule.times], [config.clumsiness], path)
     # the kernel branched on every detector outcome: the branch whose prefix
     # is -couplings is this configuration's surviving run
     entries = dict(zip(outcomes, raw[0].tolist()))

@@ -1,0 +1,250 @@
+"""The prefix-shared walk against the per-experiment kernel it replaced.
+
+A row group plans every experiment its certification runs (``_plan``),
+then runs them all in one walk over the trie of their op sequences
+(``protocols._walk``).  Every leaf must equal what the per-experiment kernel
+(``tests/kernel_reference.py``) gives for that experiment, bit for bit, and
+an experiment whose run fails must fail with the same error.  These tests
+check that for every golden certification, every ``SWEEPS`` group and a
+seeded grid of dimensions, schedule lengths, modes and clumsiness channels,
+with many-valued observables and explicit mechanism times, at one row and
+at seven.  They pin the conjugation steps and step-matrices the walk saves
+on the golden certifications, one ``unitary_for`` call per certification,
+and the walk's peak memory against the per-experiment kernel's.
+"""
+
+from __future__ import annotations
+
+import gc
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import kernel_reference
+from lgcert import protocols
+from lgcert import cli
+from lgcert.cli import SweepSpec, load_scenario, run_certification
+from lgcert.macrocert import _CHECKS, _plan, _require_times
+from lgcert.protocols import MODES, _Failure, _RowSet
+from lgcert.qcore import ValidationError, matrix_to_json
+
+from conftest import random_hermitian
+from test_sweep_batch import SWEEPS, many_valued_template, random_template
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Per golden certification: the walk's conjugation steps and step-matrices
+# (the branch count B of each step's input stack, summed), then the same for
+# the per-experiment kernel over the experiments the certification reads.
+COUNTS = {
+    "readme_precession": (22, 53, 51, 92),
+    "d2_ancilla_blind": (37, 77, 60, 104),
+    "d4_ancilla_blind": (37, 77, 60, 104),
+    "d4_unitary_kick": (37, 77, 60, 104),
+    "d16_inrm": (30, 63, 47, 82),
+    "d4_inrm_dephased_shots": (33, 67, 49, 85),
+}
+
+KERNEL_CHECKS = ["LG2", "LG3", "LG4", "NONNEG3", "NONNEG4", "NSIT", "NSIT3", "MONO"]
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The leaves of every walk, in call order."""
+    leaves: list[dict] = []
+    walk = protocols._walk
+
+    def recorded(*args):
+        result = walk(*args)
+        leaves.append(result)
+        return result
+
+    monkeypatch.setattr(protocols, "_walk", recorded)
+    return leaves
+
+
+def reference(group, request):
+    """The per-experiment kernel's outcomes and probabilities for ``request``, or its error's type and message."""
+    try:
+        return kernel_reference.group_request(group, request)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def same(leaf, expected) -> bool:
+    if isinstance(leaf, _Failure):
+        return (leaf.kind, leaf.message) == expected
+    (outcomes, raw), (want_outcomes, want_raw) = leaf, expected
+    return outcomes == want_outcomes and raw.shape == want_raw.shape and raw.tobytes() == want_raw.tobytes()
+
+
+def row_set(spec: SweepSpec, monkeypatch) -> _RowSet:
+    """The row set ``run_sweep`` builds for ``spec``, before any row runs."""
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "_sweep_row", lambda rows, row, value: rows)
+        return cli.run_sweep(spec)[0]
+
+
+def groups(rows: _RowSet) -> list:
+    """The row set's groups whose certification walks: every check has the times it needs."""
+    found = {}
+    for placed in rows._placed:
+        if placed is not None:
+            found.setdefault(id(placed[0]), placed[0])
+    out = []
+    for group in found.values():
+        try:
+            _require_times(group.s)
+        except ValidationError:
+            continue
+        out.append(group)
+    return out
+
+
+def assert_leaves_match(rows: _RowSet, walked) -> int:
+    """Walk every group's plan; each leaf must equal the reference.  Returns the leaves that ran."""
+    ran = 0
+    for group in groups(rows):
+        plan = _plan(group)
+        walked.clear()
+        group.walk(plan)
+        assert len(walked) == 1
+        leaves = walked[0]
+        assert set(leaves) == set(plan)
+        for request, leaf in leaves.items():
+            assert same(leaf, reference(group, request)), request
+            ran += not isinstance(leaf, _Failure)
+    return ran
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_golden_certification_leaves_equal_the_reference(name, walked):
+    rows = _RowSet([load_scenario(GOLDEN / f"{name}.json")])
+    assert assert_leaves_match(rows, walked) > 0
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_sweep_group_leaves_equal_the_reference(name, walked, monkeypatch):
+    template, parameter, values = SWEEPS[name]
+    rows = row_set(SweepSpec(template=template, parameter=parameter, values=tuple(values)), monkeypatch)
+    assert_leaves_match(rows, walked)
+
+
+def grid_template(seed, d, m, mode, clumsiness, checks, many_valued=False):
+    template = (many_valued_template if many_valued else random_template)(seed, d, mode, checks)
+    template = dict(template, schedule=[0.4 * (k + 1) for k in range(m)])
+    return dict(template, protocol=dict(template["protocol"], clumsiness=clumsiness))
+
+
+def clumsiness_channel(kind, d, seed):
+    if kind == "none":
+        return {"kind": "none"}
+    if kind == "depolarizing":
+        return {"kind": "depolarizing", "strength": 0.1}
+    return {"kind": "unitary_kick", "strength": 0.3,
+            "generator": matrix_to_json(random_hermitian(np.random.default_rng(seed), d))}
+
+
+def grid_rows(template, n_rows, monkeypatch):
+    return row_set(SweepSpec(template=template, parameter="schedule.gap",
+                             values=tuple(0.3 + 0.11 * k for k in range(n_rows))), monkeypatch)
+
+
+@pytest.mark.parametrize("clumsiness", ["none", "depolarizing", "unitary_kick"])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 4, 16])
+def test_seeded_grid_leaves_equal_the_reference(d, m, mode, clumsiness, walked, monkeypatch):
+    seed = 1000 * d + 100 * m + MODES.index(mode)
+    checks = [c for c in KERNEL_CHECKS if _CHECKS[c].min_times <= m]
+    template = grid_template(seed, d, m, mode, clumsiness_channel(clumsiness, d, seed), checks)
+    if clumsiness == "depolarizing":
+        template["derive_lower_moments"] = True
+    for n_rows in (1, 7):
+        assert assert_leaves_match(grid_rows(template, n_rows, monkeypatch), walked) > 0
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("d", [2, 4])
+def test_many_valued_leaves_equal_the_reference(d, mode, walked, monkeypatch):
+    # INRM modes reject the observable while planning, and must fail alike
+    template = grid_template(7 * d, d, 3, mode, {"kind": "depolarizing", "strength": 0.05},
+                             ["LG3", "NSIT", "NSIT3", "MONO"], many_valued=True)
+    for n_rows in (1, 7):
+        assert_leaves_match(grid_rows(template, n_rows, monkeypatch), walked)
+
+
+@pytest.mark.parametrize("dephase_times", [[1], [2], [1, 3], [2, 4], [5]])
+@pytest.mark.parametrize("mode", MODES)
+def test_explicit_dephase_times_leaves_equal_the_reference(mode, dephase_times, walked, monkeypatch):
+    # [5] exceeds the schedule: every experiment's planning fails alike
+    template = grid_template(31, 4, 4, mode, {"kind": "depolarizing", "strength": 0.05}, KERNEL_CHECKS)
+    template["protocol"]["dephase_times"] = dephase_times
+    for n_rows in (1, 7):
+        assert_leaves_match(grid_rows(template, n_rows, monkeypatch), walked)
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_the_walk_shares_every_prefix(name, monkeypatch):
+    walk_steps: list[int] = []
+    advance = protocols._advance
+
+    def counted(stack, *args):
+        walk_steps.append(stack.shape[1])
+        return advance(stack, *args)
+
+    unitary_calls: list[int] = []
+    unitary_for = protocols.unitary_for
+
+    def counted_unitaries(h, t):
+        unitary_calls.append(len(t))
+        return unitary_for(h, t)
+
+    asked: list[tuple] = []
+    table = protocols._ColumnRunner.table
+
+    def recorded(self, request):
+        if request not in asked:
+            asked.append(request)
+        return table(self, request)
+
+    monkeypatch.setattr(protocols, "_advance", counted)
+    monkeypatch.setattr(protocols, "unitary_for", counted_unitaries)
+    monkeypatch.setattr(protocols._ColumnRunner, "table", recorded)
+    scenario = load_scenario(GOLDEN / f"{name}.json")
+    run_certification(scenario)
+    assert len(unitary_calls) == 1
+
+    monkeypatch.setattr(kernel_reference, "STEPS", [])
+    group = _RowSet([scenario]).group(0)[0]
+    for request in asked:
+        kernel_reference.group_request(group, request)
+    reference_steps = kernel_reference.STEPS
+    counts = (len(walk_steps), sum(walk_steps), len(reference_steps), sum(reference_steps))
+    assert counts == COUNTS[name]
+
+
+def traced_peak(run) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_walk_holds_about_one_path_at_the_batch_cap(monkeypatch):
+    # d = 16 and four dichotomic read-outs: 4096 entries per row, so the
+    # default cap puts 256 rows in the first group
+    template = grid_template(5, 16, 4, "ancilla_blind", {"kind": "depolarizing", "strength": 0.05},
+                             KERNEL_CHECKS)
+    rows = grid_rows(template, 257, monkeypatch)
+    group = rows.group(0)[0]
+    assert len(group.scenarios) == 256
+    plan = _plan(group)
+    reference_peak = traced_peak(lambda: [kernel_reference.group_request(group, r) for r in dict.fromkeys(plan)])
+    walk_peak = traced_peak(lambda: group.walk(plan))
+    assert walk_peak <= 1.1 * reference_peak
