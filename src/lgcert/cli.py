@@ -194,43 +194,14 @@ def _parse_clumsiness(spec) -> ClumsinessModel:
     raise ScenarioError(f"protocol.clumsiness: unknown kind {kind!r}")
 
 
-_ABSENT = object()
+def _parse_schedule(data: Mapping[str, Any]) -> Schedule:
+    if "schedule" not in data:
+        raise ScenarioError("schedule: missing")
+    return _field("schedule", lambda: Schedule(tuple(_number("schedule", t) for t in data["schedule"])))
 
 
-def scenario_from_dict(data: Mapping[str, Any], template: Scenario | None = None) -> Scenario:
-    """Validate a scenario dict; every error names the offending field.
-
-    ``template`` is a scenario parsed earlier from a dict that ``data`` was
-    derived from (a sweep row from its template).  Where ``data`` holds the
-    very object the template parsed its initial state, Hamiltonian or
-    observable from, at the same dimension, the template's parsed value is
-    reused, so sweep rows share one eigendecomposition.
-    """
-    if not isinstance(data, Mapping):
-        raise ScenarioError("scenario must be a JSON object")
-    dim = _integer("dimension", data.get("dimension", 2))
-    if dim < 2:
-        raise ScenarioError(f"dimension must be >= 2, got {dim}")
-
-    def parsed(name: str, parse, default):
-        spec = data.get(name, _ABSENT)
-        if template is not None and template.dimension == dim and spec is template.raw.get(name, _ABSENT):
-            return getattr(template, name)
-        return _field(name, parse, default if spec is _ABSENT else spec, dim)
-
-    state = parsed("initial_state", _parse_state, "ground")
-    h = parsed("hamiltonian", _parse_hamiltonian, {"preset": "precession"})
-    obs = parsed("observable", _parse_observable, "sigma_z")
-
-    try:
-        schedule = Schedule(tuple(_number("schedule", t) for t in data["schedule"]))
-    except KeyError:
-        raise ScenarioError("schedule: missing") from None
-    except ScenarioError:
-        raise
-    except (TypeError, ValueError, ValidationError) as exc:
-        raise ScenarioError(f"schedule: {exc}") from exc
-
+def _parse_protocol(data: Mapping[str, Any]) -> tuple[ProtocolConfig, int]:
+    """The protocol config and the shots, which a top-level ``shots`` sets over ``protocol.shots``."""
     proto = data.get("protocol", {}) or {}
     if not isinstance(proto, Mapping):
         raise ScenarioError("protocol: must be a JSON object")
@@ -247,7 +218,10 @@ def scenario_from_dict(data: Mapping[str, Any], template: Scenario | None = None
         _field("protocol.clumsiness", _parse_clumsiness, proto.get("clumsiness")),
         shots,
     )
+    return config, shots
 
+
+def _parse_checks(data: Mapping[str, Any]) -> tuple[str, ...]:
     checks = data.get("checks", ())
     if not isinstance(checks, (list, tuple)):
         raise ScenarioError(f"checks: must be a list, got {checks!r}")
@@ -257,13 +231,61 @@ def scenario_from_dict(data: Mapping[str, Any], template: Scenario | None = None
         raise ScenarioError(f"checks: unknown identifiers {unknown}; expected from {KNOWN_CHECKS}")
     if len(set(checks)) != len(checks):
         raise ScenarioError("checks: identifiers must be distinct")
+    return checks
 
+
+def _parse_seed(data: Mapping[str, Any]) -> int:
     seed = _integer("seed", data.get("seed", 0))
     if seed < 0:
         raise ScenarioError(f"seed: must be a non-negative integer, got {seed}")
+    return seed
+
+
+def _parse_derive(data: Mapping[str, Any]) -> bool:
     derive = data.get("derive_lower_moments", False)
     if not isinstance(derive, bool):
         raise ScenarioError(f"derive_lower_moments: must be true or false, got {derive!r}")
+    return derive
+
+
+_ABSENT = object()
+
+
+def scenario_from_dict(data: Mapping[str, Any], template: Scenario | None = None) -> Scenario:
+    """Validate a scenario dict; every error names the offending field.
+
+    ``template`` is a scenario parsed earlier from a dict that ``data`` was
+    derived from (a sweep row from its template).  Where ``data`` holds the
+    template's own raw object of a top-level field, or lacks it as the
+    template's dict did, the template's parsed value is reused: state,
+    Hamiltonian and observable at the same dimension (one eigendecomposition
+    per sweep); schedule, config and shots (``protocol`` with ``shots``),
+    checks, seed and moment source at any.  These parsed without error, so a
+    row's first error and its message are those of a template-free parse.
+    """
+    if not isinstance(data, Mapping):
+        raise ScenarioError("scenario must be a JSON object")
+    dim = _integer("dimension", data.get("dimension", 2))
+    if dim < 2:
+        raise ScenarioError(f"dimension must be >= 2, got {dim}")
+
+    def kept(*names: str) -> bool:
+        return template is not None and all(data.get(n, _ABSENT) is template.raw.get(n, _ABSENT) for n in names)
+
+    def parsed(name: str, parse, default):
+        if kept(name) and template.dimension == dim:
+            return getattr(template, name)
+        spec = data.get(name, _ABSENT)
+        return _field(name, parse, default if spec is _ABSENT else spec, dim)
+
+    state = parsed("initial_state", _parse_state, "ground")
+    h = parsed("hamiltonian", _parse_hamiltonian, {"preset": "precession"})
+    obs = parsed("observable", _parse_observable, "sigma_z")
+    schedule = template.schedule if kept("schedule") else _parse_schedule(data)
+    config, shots = (template.config, template.shots) if kept("protocol", "shots") else _parse_protocol(data)
+    checks = template.checks if kept("checks") else _parse_checks(data)
+    seed = template.seed if kept("seed") else _parse_seed(data)
+    derive = template.derive_lower_moments if kept("derive_lower_moments") else _parse_derive(data)
 
     return Scenario(
         dimension=dim,
@@ -392,12 +414,13 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 
     The template is parsed once: ``spec.scenario`` when ``load_sweep`` has
     parsed it already.  Each row copies only the dicts along the swept path
-    and reuses the template's parsed state, Hamiltonian and observable
-    wherever its subtree is the template's own, so a ``schedule.gap`` or
-    clumsiness-strength sweep shares one eigendecomposition.  The rows are
-    split into groups before any row runs: rows that differ only in schedule
-    times or clumsiness strength and share their checks and moment source
-    form one group, which runs all its experiments in one walk.  Every
+    and parses only the top-level fields its value changed, reusing the
+    template's parsed value of every other (``scenario_from_dict``), so a
+    sweep shares one eigendecomposition.  The rows are split into groups
+    before any row runs: rows that differ only in schedule times or
+    clumsiness strength and share their checks and moment source form one
+    group, which runs all its experiments in one walk; rows of equal times
+    walk as one row until their kicks differ, or throughout.  Every
     row is evaluated as a column of its group: the first row of a group that
     asks computes every row's moments, variances, margins and verdicts from
     the group's (R, N) arrays, accumulating in the scalar code's order, and
@@ -438,11 +461,7 @@ def sweep_to_csv(rows: Sequence[dict]) -> str:
     A value cell holding a comma or a quote (a list-valued sweep) is quoted,
     with its quotes doubled; any other value is written as it stands.
     """
-    ids: list[str] = []
-    for row in rows:
-        for cid in row["margins"]:
-            if cid not in ids:
-                ids.append(cid)
+    ids = list(dict.fromkeys(cid for row in rows for cid in row["margins"]))
     lines = [",".join(["value"] + [f'"{c}"' for c in ids] + ["error"])]
     for row in rows:
         value = row["value"]

@@ -17,16 +17,16 @@ carries all branches as one (B, d, d) stack, builds every distinct step's
 unitary from the Hamiltonian's cached spectrum in one vectorised exp, and
 runs every INRM detector configuration in the same pass.  A leading row axis
 lets one walk serve several runs that differ only in their schedule times
-and clumsiness, as the rows of a sweep do; a single run is one row.
+and clumsiness, as the rows of a sweep do; a single run is one row, and
+rows of equal times stay one until a kick of differing models widens them.
 
 A row set of scenarios splits its rows into groups once, each group one
 runner that plans its rows' experiments, walks them once and keeps their
-cleaned entries.
-A sweep's group also samples every row's experiments, each row from its own
-child seeds, into (R, N) frequency arrays; for a certification, a runner per
-row reads its row of them into the independent experiments and seeds their
-sampling.  The library entry points are one-row calls on them, as
-certifications are.
+cleaned entries.  A sweep's group also samples every row's experiments, each
+row from its own child seeds, into (R, N) frequency arrays; for a
+certification, a runner per row reads its row of them into the independent
+experiments and seeds their sampling.  The library entry points are one-row
+calls on them, as certifications are.
 """
 
 from __future__ import annotations
@@ -413,19 +413,26 @@ def _walk(
     goes depth first through the trie of the paths, so every shared prefix
     is run once (``_advance``), all branches of all rows as one
     (R, B, d, d) stack; every distinct step's unitaries come from one
-    vectorised exp over the cached spectrum.  A node's stack is dropped once
+    vectorised exp over the cached spectrum.  Rows of equal times (a
+    strength or seed sweep) share their unitaries: a stack stays one row
+    until a kick of per-row models widens it to R, and rows that also share
+    one model walk as one row throughout.  A node's stack is dropped once
     its last child has read it, so about one root-to-leaf path is held.  An
     experiment gets its outcome tuples in product order and the unclamped
-    (R, N) traces of its leaf, or the ``_Failure`` of its path's first node
-    that raised.
+    (R, N) traces of its leaf, a one-row leaf repeated R times, or the
+    ``_Failure`` of its path's first node that raised.
     """
     results = {request: path for request, path in paths.items() if isinstance(path, _Failure)}
     live = [(request, path) for request, path in paths.items() if not isinstance(path, _Failure)]
     if not live:
         return results
     steps = {step: i for i, step in enumerate(dict.fromkeys(key[0] for _, path in live for key, _ in path))}
-    d = rho.dim
+    d, rows = rho.dim, len(times)
     t = np.asarray(times, dtype=float)
+    if (t == t[0]).all():
+        t, model = t[:1], clumsiness[0]
+        if all(c is model or _model_key(c) == _model_key(model) for c in clumsiness):
+            clumsiness = clumsiness[:1]
     step_times = np.stack([t[:, b - 1] - t[:, a - 1] if a else t[:, b - 1] for a, b in steps], axis=1)
     unitaries = unitary_for(h, step_times.ravel()).reshape(*step_times.shape, d, d)
     adjoints = unitaries.conj().swapaxes(-1, -2)
@@ -452,7 +459,9 @@ def _walk(
         ended = [(request, path) for request, path in group if len(path) == depth + 1]
         if ended:
             outcomes = list(itertools.product(*(o.outcomes for k, o in ended[0][1] if k[-1])))
-            results.update(dict.fromkeys((r for r, _ in ended), (outcomes, np.trace(stack, axis1=2, axis2=3).real)))
+            traces = np.trace(stack, axis1=2, axis2=3).real
+            traces = traces if len(traces) == rows else np.repeat(traces, rows, axis=0)
+            results.update(dict.fromkeys((r for r, _ in ended), (outcomes, traces)))
         branch(stack, depth + 1, group)
     return results
 
@@ -483,6 +492,11 @@ def _leaf(rho: DensityOperator, h: Hamiltonian, times, clumsiness, path: list) -
     if isinstance(leaf, _Failure):
         leaf.throw()
     return leaf
+
+
+def _model_key(c: ClumsinessModel) -> tuple:
+    """What ``_clumsy_stack`` reads of a model: equal keys kick alike, bit for bit."""
+    return c.kind, c.strength, None if c.generator is None else c.generator.tobytes()
 
 
 def _clumsy_stack(stack: np.ndarray, clumsiness: Sequence[ClumsinessModel]) -> np.ndarray:
@@ -579,26 +593,6 @@ def experiment_distribution(
     return _one_row(rho, h, q, schedule, replace(config, shots=0)).experiment(measured)
 
 
-def _experiment_probabilities(
-    rho: DensityOperator,
-    h: Hamiltonian,
-    observables: Sequence[Observable],
-    schedules: Sequence[Schedule],
-    measured: tuple[int, ...],
-    config: ProtocolConfig,
-    clumsiness: Sequence[ClumsinessModel],
-) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """The one-leaf walk of one experiment for rows that differ only in schedule times and clumsiness.
-
-    ``schedules`` (all of one length) and ``clumsiness`` (all of one kind and
-    triviality) hold one entry per row; ``config`` gives the mode and the
-    mechanism, and its own clumsiness model is not used.  Returns the
-    outcome tuples and an (R, N) array of unclamped probabilities.
-    """
-    path = _path(rho, h, observables, len(schedules[0]), measured, config, not clumsiness[0].is_trivial)
-    return _leaf(rho, h, [schedule.times for schedule in schedules], clumsiness, path)
-
-
 def _row_table(
     table: _TableColumns,
     row: int,
@@ -638,19 +632,6 @@ def _row_table(
         block, _ = _sample_surviving(block, 1.0 - sum(block.values()), config.shots, next_generator())
         sampled.update(block)
     return OutcomeTable(table.slots, sampled, kind="empirical", shots=config.shots, slot_times=measured)
-
-
-def _experiment_table(
-    outcomes: Sequence[tuple[int, ...]],
-    raw: np.ndarray,
-    observables: Sequence[Observable],
-    measured: tuple[int, ...],
-    config: ProtocolConfig,
-    next_generator: Callable[[], np.random.Generator] | None = None,
-) -> OutcomeTable:
-    """One row's table from its ``_experiment_probabilities`` entries ``raw``, as a group's runner builds it."""
-    columns = _table_columns(outcomes, raw[None], observables, measured, config)
-    return _row_table(columns, 0, measured, config, next_generator)
 
 
 # ---------------------------------------------------------------------------
@@ -954,7 +935,7 @@ def _table_columns(
     measured: tuple[int, ...],
     config: ProtocolConfig,
 ) -> _TableColumns:
-    """Every row's cleaned table of one experiment from its ``_experiment_probabilities`` output.
+    """Every row's cleaned table of one experiment from its ``_walk`` leaf.
 
     An entry in [-ENTRY_TOL, 0) becomes 0.0.  The entries are in the table's
     own order: product order, or for INRM modes the detector

@@ -9,20 +9,29 @@ more memory than this kernel run over the same experiments.
 
 ``STEPS``, when a list, receives the branch count B of the (R, B, d, d)
 stack at every conjugation, so a test can count steps and step-matrices.
+
+It also keeps the walk's one-experiment wrappers, which only tests call:
+``walk_probabilities`` runs one experiment as a one-leaf walk, and
+``walk_table`` turns one row of its output into that row's table.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from lgcert.protocols import (
+    OutcomeTable,
     ProtocolConfig,
     Schedule,
     _blind_stack,
     _clumsy_stack,
     _experiment_config,
+    _leaf,
+    _path,
+    _row_table,
+    _table_columns,
 )
 from lgcert.qcore import (
     ClumsinessModel,
@@ -148,3 +157,36 @@ def group_request(group, request: tuple) -> tuple[list[tuple[int, ...]], np.ndar
         config,
         [config.clumsiness if clean else r.config.clumsiness for r in group.scenarios],
     )
+
+
+def walk_probabilities(
+    rho: DensityOperator,
+    h: Hamiltonian,
+    observables: Sequence[Observable],
+    schedules: Sequence[Schedule],
+    measured: tuple[int, ...],
+    config: ProtocolConfig,
+    clumsiness: Sequence[ClumsinessModel],
+) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The one-leaf walk of one experiment for rows that differ only in schedule times and clumsiness.
+
+    ``schedules`` (all of one length) and ``clumsiness`` (all of one kind and
+    triviality) hold one entry per row; ``config`` gives the mode and the
+    mechanism, and its own clumsiness model is not used.  Returns the
+    outcome tuples and an (R, N) array of unclamped probabilities.
+    """
+    path = _path(rho, h, observables, len(schedules[0]), measured, config, not clumsiness[0].is_trivial)
+    return _leaf(rho, h, [schedule.times for schedule in schedules], clumsiness, path)
+
+
+def walk_table(
+    outcomes: Sequence[tuple[int, ...]],
+    raw: np.ndarray,
+    observables: Sequence[Observable],
+    measured: tuple[int, ...],
+    config: ProtocolConfig,
+    next_generator: Callable[[], np.random.Generator] | None = None,
+) -> OutcomeTable:
+    """One row's table from its ``walk_probabilities`` entries ``raw``, as a group's runner builds it."""
+    columns = _table_columns(outcomes, raw[None], observables, measured, config)
+    return _row_table(columns, 0, measured, config, next_generator)

@@ -24,8 +24,6 @@ from lgcert.protocols import (
     OutcomeTable,
     ProtocolConfig,
     Schedule,
-    _experiment_probabilities,
-    _experiment_table,
     _sample_partial,
     assemble_inrm,
     inrm_distribution,
@@ -34,6 +32,7 @@ from lgcert.protocols import (
 from lgcert.qcore import ClumsinessModel
 
 from conftest import random_density, random_dichotomic, random_hamiltonian, random_times
+from kernel_reference import walk_probabilities, walk_table
 from test_sweep_batch import D2_INRM_SHOTS
 
 
@@ -91,11 +90,11 @@ def test_inrm_table_is_assembled_configurations(m, mode, shots):
     measured = tuple(range(1, m + 1))
     seeds = [child_seed(23, i) for i in range(2 ** (m - 1))]
 
-    outcomes, raw = _experiment_probabilities(
+    outcomes, raw = walk_probabilities(
         rho, h, [q] * m, [schedule], measured, config, [config.clumsiness]
     )
     draws = iter(seeds)
-    table = _experiment_table(
+    table = walk_table(
         outcomes, raw[0], [q] * m, measured, config, lambda: np.random.default_rng(next(draws))
     )
 

@@ -10,12 +10,16 @@ seeded grid of dimensions, schedule lengths, modes and clumsiness channels,
 with many-valued observables and explicit mechanism times, at one row and
 at seven.  They pin the conjugation steps and step-matrices the walk saves
 on the golden certifications, one ``unitary_for`` call per certification,
-and the walk's peak memory against the per-experiment kernel's.
+and the walk's peak memory against the per-experiment kernel's.  Rows of
+equal times (strength and seed sweeps) walk as one row until a kick of
+differing models widens the stack: seven such rows must equal the reference
+in every mode and clumsiness channel, and the matrices they save are pinned.
 """
 
 from __future__ import annotations
 
 import gc
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -248,3 +252,89 @@ def test_the_walk_holds_about_one_path_at_the_batch_cap(monkeypatch):
     reference_peak = traced_peak(lambda: [kernel_reference.group_request(group, r) for r in dict.fromkeys(plan)])
     walk_peak = traced_peak(lambda: group.walk(plan))
     assert walk_peak <= 1.1 * reference_peak
+
+
+# Rows of equal times: a strength sweep with distinct strengths, one with
+# equal strengths (a model per row), and a seed sweep (one model, shared).
+EQUAL_TIMES = {
+    "distinct": ("protocol.clumsiness.strength", [0.05 * (k + 1) for k in range(7)]),
+    "equal": ("protocol.clumsiness.strength", [0.15] * 7),
+    "shared": ("seed", list(range(1, 8))),
+}
+
+
+def equal_time_rows(template, rows, monkeypatch):
+    parameter, values = EQUAL_TIMES[rows]
+    return row_set(SweepSpec(template=template, parameter=parameter, values=tuple(values)), monkeypatch)
+
+
+@pytest.mark.parametrize("rows", EQUAL_TIMES)
+@pytest.mark.parametrize("clumsiness", ["none", "depolarizing", "unitary_kick"])
+@pytest.mark.parametrize("mode", MODES)
+def test_equal_time_rows_leaves_equal_the_reference(mode, clumsiness, rows, walked, monkeypatch):
+    seed = 500 + 10 * MODES.index(mode)
+    template = grid_template(seed, 4, 4, mode, clumsiness_channel(clumsiness, 4, seed), KERNEL_CHECKS)
+    row_groups = equal_time_rows(template, rows, monkeypatch)
+    assert [len(group.scenarios) for group in groups(row_groups)] == [7]
+    assert assert_leaves_match(row_groups, walked) > 0
+
+
+@pytest.mark.parametrize("rows", EQUAL_TIMES)
+@pytest.mark.parametrize("mode", MODES)
+def test_equal_time_rows_with_many_valued_observable_leaves_equal_the_reference(mode, rows, walked, monkeypatch):
+    template = grid_template(41, 4, 3, mode, {"kind": "depolarizing", "strength": 0.05},
+                             ["LG3", "NSIT", "NSIT3", "MONO"], many_valued=True)
+    assert_leaves_match(equal_time_rows(template, rows, monkeypatch), walked)
+
+
+@pytest.mark.parametrize("rows", EQUAL_TIMES)
+@pytest.mark.parametrize("dephase_times", [[1], [2, 4], [1, 3]])
+@pytest.mark.parametrize("mode", MODES)
+def test_equal_time_rows_with_explicit_dephase_times_leaves_equal_the_reference(
+    mode, dephase_times, rows, walked, monkeypatch
+):
+    template = grid_template(43, 4, 4, mode, clumsiness_channel("unitary_kick", 4, 43), KERNEL_CHECKS)
+    template["protocol"]["dephase_times"] = dephase_times
+    assert assert_leaves_match(equal_time_rows(template, rows, monkeypatch), walked) > 0
+
+
+def golden_sweep(name: str, parameter: str | None = None, values=()) -> SweepSpec:
+    """A golden sweep, or a sweep of ``parameter`` over ``values`` on a golden certification's scenario."""
+    data = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    if parameter is None:
+        return SweepSpec(data["scenario"], data["parameter"], tuple(data["values"]))
+    return SweepSpec(data, parameter, tuple(values))
+
+
+# Per sweep: the matrices its walks produce (R x B of every node's output
+# stack, summed), first as they were when every node was as wide as its
+# group, then as the walk produces them.  A gap sweep's rows differ in their
+# times, so it saves nothing.
+MATRICES = {
+    "golden-strength": (golden_sweep("d4_strength_sweep_blind"), (343, 248)),
+    "kick-strength": (golden_sweep("d4_unitary_kick", "protocol.clumsiness.strength",
+                                   [0.02 * k for k in range(1, 40)]), (5343, 4545)),
+    "seed": (golden_sweep("d4_inrm_dephased_shots", "seed", range(1, 30)), (3683, 127)),
+    "gap": (golden_sweep("readme_gap_sweep"), (198, 198)),
+}
+
+
+@pytest.mark.parametrize("name", MATRICES)
+def test_rows_of_equal_times_share_their_nodes(name, monkeypatch):
+    widths: list[tuple[int, int, int]] = []  # per node: its group's rows, then its output stack's R and B
+    walk, advance = protocols._walk, protocols._advance
+
+    def counted_walk(rho, h, times, *args):
+        widths.append((len(times), 0, 0))
+        return walk(rho, h, times, *args)
+
+    def counted_advance(*args):
+        stack = advance(*args)
+        widths.append((widths[-1][0], *stack.shape[:2]))
+        return stack
+
+    monkeypatch.setattr(protocols, "_walk", counted_walk)
+    monkeypatch.setattr(protocols, "_advance", counted_advance)
+    spec, expected = MATRICES[name]
+    cli.run_sweep(spec)
+    assert (sum(rows * b for rows, _, b in widths), sum(r * b for _, r, b in widths)) == expected
