@@ -6,6 +6,11 @@
   because there the decision is a matter of rounding.
 * The unpruned elimination (``fm_reference``): inside the envelope where it
   finishes, decisions must be identical and witnesses equal to 1e-12.
+* The pruned elimination on sparse dicts and frozensets, frozen in
+  ``fm_reference.pruned_completion``: over the LP oracle's whole range the
+  dense elimination must give identical decisions, certificate kinds and
+  variables, bounds and witnesses equal to 1e-12, and hand ``_reduce`` the same
+  number of constraints at every stage.
 * A size regression: no elimination stage may hand ``_reduce`` more than 1000
   constraints, where the unpruned elimination reached 144,780 at n=3 and ran
   out of memory at n=4 with 6 or more unfixed moments.
@@ -20,6 +25,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import fm_reference
 from lgcert import macrocert
 from lgcert.macrocert import (
     InfeasibilityCertificate,
@@ -152,22 +158,97 @@ def test_same_answers_as_unpruned_elimination(n, k, sets):
                 assert value == pytest.approx(ref_payload[key], abs=1e-12)
 
 
-SIZE_CASES = [(3, 7)] + [(4, k) for k in range(6, 16)]
-
-
-@pytest.mark.parametrize("n,k", SIZE_CASES, ids=[f"n{n}-unfixed{k}" for n, k in SIZE_CASES])
-def test_stage_sizes_stay_bounded(monkeypatch, n, k):
+def record_reduce_sizes(monkeypatch, module) -> list[int]:
+    """Patch ``module._reduce`` to append the size of each stage it is handed."""
     sizes: list[int] = []
-    reduce = macrocert._reduce
+    reduce = module._reduce
 
     def recording_reduce(constraints):
         sizes.append(len(constraints))
         return reduce(constraints)
 
-    monkeypatch.setattr(macrocert, "_reduce", recording_reduce)
+    monkeypatch.setattr(module, "_reduce", recording_reduce)
+    return sizes
+
+
+@pytest.mark.parametrize("n,k", CASES, ids=[f"n{n}-unfixed{k}" for n, k in CASES])
+def test_same_answers_and_stages_as_sparse_elimination(monkeypatch, n, k):
+    sizes = record_reduce_sizes(monkeypatch, macrocert)
+    ref_sizes = record_reduce_sizes(monkeypatch, fm_reference)
+    rng = np.random.default_rng(4000 * n + k)
+    for draw in range(12):
+        source = joint_moments if draw % 4 < 2 else uniform_moments
+        m = moment_set(source(rng, n), n, unfixed_choice(rng, n, k, draw))
+        sizes.clear()
+        ref_sizes.clear()
+        feasible, payload = feasible_completion(m)
+        ref_feasible, ref_payload = fm_reference.pruned_completion(m)
+        assert sizes == ref_sizes
+        assert feasible == ref_feasible
+        if feasible:
+            assert list(payload) == list(ref_payload)
+            for key, value in payload.items():
+                assert value == pytest.approx(ref_payload[key], abs=1e-12)
+            continue
+        assert payload.variable == ref_payload.variable
+        for name in ("lower", "upper", "violated_constant"):
+            value, ref_value = getattr(payload, name), getattr(ref_payload, name)
+            assert (value is None) == (ref_value is None)
+            if value is not None:
+                assert value == pytest.approx(ref_value, abs=1e-12)
+
+
+SIZE_CASES = [(3, 7)] + [(4, k) for k in range(6, 16)]
+
+
+@pytest.mark.parametrize("n,k", SIZE_CASES, ids=[f"n{n}-unfixed{k}" for n, k in SIZE_CASES])
+def test_stage_sizes_stay_bounded(monkeypatch, n, k):
+    sizes = record_reduce_sizes(monkeypatch, macrocert)
     rng = np.random.default_rng(3000 * n + k)
     for draw in range(4):
         m = moment_set(joint_moments(rng, n), n, unfixed_choice(rng, n, k, draw))
         assert_certifies(m, feasible_completion(m))
     assert sizes, "the elimination never reached _reduce"
     assert max(sizes) <= 1000
+
+
+def sparse(constraint, keys):
+    """A dense ``macrocert`` constraint in the sparse form of ``fm_reference``."""
+    coeffs, const, anc, _ = constraint
+    ancestors = frozenset(i for i in range(anc.bit_length()) if anc >> i & 1)
+    return {k: v for k, v in zip(keys, coeffs) if v != 0.0}, const, ancestors
+
+
+def kept_by_both(constraints):
+    """The constraints the dense ``_reduce`` keeps, checked against the sparse one."""
+    keys = [(1, 2), (1, 3)]
+    kept = macrocert._reduce(constraints)
+    sparse_kept = fm_reference._reduce([sparse(c, keys) for c in constraints])
+    assert [sparse(c, keys) for c in kept] == sparse_kept
+    return kept
+
+
+def test_reduce_keeps_a_tiny_coefficient_apart_from_a_zero():
+    tiny = ([1e-13, 1.0], 0.5, 0b01, 1)
+    zero = ([0.0, 1.0], 0.25, 0b10, 1)
+    kept = kept_by_both([tiny, zero])
+    assert len(kept) == 2 and kept[0] is tiny and kept[1] is zero
+
+
+def test_reduce_puts_both_signs_of_zero_in_one_class():
+    negative = ([-0.0, 1.0], 0.5, 0b01, 1)
+    positive = ([0.0, 1.0], 0.25, 0b10, 1)
+    for constraints in ([negative, positive], [positive, negative]):
+        kept = kept_by_both(constraints)
+        assert len(kept) == 1 and kept[0] is positive
+
+
+def test_reduce_keeps_fewer_ancestors_between_equal_constants():
+    more = ([1.0, -1.0], 0.5, 0b0111, 3)
+    fewer = ([1.0, -1.0], 0.5, 0b1001, 2)
+    lower = ([1.0, -1.0], 0.25, 0b1111, 4)
+    for constraints in ([more, fewer], [fewer, more]):
+        kept = kept_by_both(constraints)
+        assert len(kept) == 1 and kept[0] is fewer
+    kept = kept_by_both([fewer, lower])
+    assert len(kept) == 1 and kept[0] is lower

@@ -11,12 +11,24 @@ The certify scenarios cover the README precession with all nine checks
 ``inrm`` run, a d=4 ``inrm_dephased`` run at 10^4 shots and a d=4 run with a
 ``unitary_kick`` clumsiness channel.  The d=2 ancilla case matters: there
 the ancilla circuit and plain dephasing differ in the last bit, so routing
-the blind mode through ``dephase`` changes its report.  The sweeps are a d=2
-``inrm`` gap sweep at 1000 shots with one negative gap that must come back
-as an error row, a d=4 ``ancilla_blind`` clumsiness-strength sweep from 0.0
-with one out-of-range strength, and a d=16 ``inrm_dephased`` gap sweep with
-one negative gap; their rows run as batches, so these pin the batched rows
-to the bytes that rows run one at a time produced.
+the blind mode through ``dephase`` changes its report.  The six sweeps are:
+
+* a d=2 ``inrm`` gap sweep at 1000 shots with one negative gap that must
+  come back as an error row;
+* a d=4 ``ancilla_blind`` clumsiness-strength sweep from 0.0 with one
+  out-of-range strength;
+* a d=16 ``inrm_dephased`` gap sweep with one negative gap;
+* ``readme_gap_sweep``: the README precession (d=2, ``projective``, exact,
+  LG3/LG2/NSIT/MONO) over ten gaps, one of them negative;
+* ``d4_kick_strength_sweep_shots``: a d=4 ``projective_dephased`` sweep of
+  the ``unitary_kick`` strength at 1000 shots with all nine checks, where the
+  string strength ``"0.4"`` must come back as an error row;
+* ``d4_seed_sweep_inrm_dephased_shots``: a d=4 ``inrm_dephased`` seed sweep
+  at 10^4 shots with depolarizing clumsiness and all nine checks, where the
+  negative seed must come back as an error row.
+
+Their rows run as batches, so these pin the batched rows to the bytes that
+rows run one at a time produced.
 """
 
 from __future__ import annotations
