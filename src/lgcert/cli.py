@@ -19,9 +19,10 @@ import functools
 import json
 import numbers
 import sys
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 from .qcore import (
     ClumsinessModel,

@@ -28,6 +28,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import mul, sub
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -1185,14 +1186,32 @@ def _sign_rows(n: int) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(math.prod(s[i - 1] for i in k)) for k in moment_keys(n)) for s in outcomes)
 
 
+# round(v, 12) per coefficient value, zeros of either sign as None.  The
+# coefficients come from the +-1 sign rows, not from the moments, so a few
+# values recur across every call; the cap only guards against unbounded growth.
+_ROUNDED: dict[float, float | None] = {}
+_ROUNDED_CAP = 4096
+
+
+def _rounded(v: float) -> float | None:
+    if len(_ROUNDED) >= _ROUNDED_CAP:
+        _ROUNDED.clear()
+    _ROUNDED[v] = None if v == 0.0 else round(v, 12)
+    return _ROUNDED[v]
+
+
 def _reduce(constraints):
     # Constraints sharing a coefficient signature (zeros of either sign absent,
     # one rounding to 0.0 present) are ordered by their constants; the smallest
     # implies the others, so keep it, or between equals the fewest ancestors.
     best: dict[tuple, tuple[list[float], float, int, int]] = {}
+    rounded = _ROUNDED
     for constraint in constraints:
         coeffs, const, _, count = constraint
-        key = tuple([None if v == 0.0 else round(v, 12) for v in coeffs])
+        try:
+            key = tuple([rounded[v] for v in coeffs])
+        except KeyError:
+            key = tuple([_rounded(v) for v in coeffs])
         kept = best.get(key)
         if kept is None or const < kept[1] or (const == kept[1] and count < kept[3]):
             best[key] = constraint
@@ -1201,16 +1220,22 @@ def _reduce(constraints):
 
 def _minimal_ancestors(constraints):
     # Chernikov: a constraint whose ancestor set strictly contains another's
-    # is a positive combination of others, hence redundant.
-    kept, masks = [], []
+    # is a positive combination of others, hence redundant.  In bit-count
+    # order only masks with fewer bits can be strict subsets.
+    kept, smaller, level = [], [], []
+    count = 0
     for constraint in sorted(constraints, key=lambda c: c[3]):
         anc = constraint[2]
-        for k in masks:
-            if k & anc == k and k != anc:
+        if constraint[3] != count:
+            count = constraint[3]
+            smaller += level
+            level = []
+        for k in smaller:
+            if k & anc == k:
                 break
         else:
             kept.append(constraint)
-            masks.append(anc)
+            level.append(anc)
     return kept
 
 
@@ -1229,7 +1254,8 @@ def feasible_completion(m: MomentSet):
     skipped before it is built (Kohler's criterion), and one whose ancestor
     mask strictly contains another surviving constraint's is dropped.  Stages
     stay at a few hundred constraints: the benchmark's sets (n=3 with 1-7, n=4
-    with 1-5 unfixed) take 0.11 ms at the median, n=4 with 6-15 unfixed 0.7-3 ms.
+    with 1-5 unfixed) take 0.086 ms at the median and 0.16 ms at the 90th
+    percentile, n=4 with 6-15 unfixed 0.7-2.3 ms.
 
     Returns ``(True, assignment)`` where the assignment takes the midpoint of
     each back-substituted interval, or ``(False, certificate)`` with a pair of
@@ -1246,7 +1272,8 @@ def feasible_completion(m: MomentSet):
 
     keys = moment_keys(m.n)
     columns = [keys.index(key) for key in unfixed]
-    fixed = [(i, m[key]) for i, key in enumerate(keys) if m.is_fixed(key)]
+    given = m.values
+    fixed = [(i, given[key]) for i, key in enumerate(keys) if key in given]
     constraints = []
     for index, row in enumerate(_sign_rows(m.n)):
         const = 1.0
@@ -1262,6 +1289,10 @@ def feasible_completion(m: MomentSet):
             a = coeffs[0]
             if a == 0.0:
                 rest.append((coeffs[1:], const, anc, count))
+            elif a == 1.0:  # a unit pivot divides exactly: skip the division
+                lowers.append(([-v for v in coeffs[1:]], -const, anc, count))
+            elif a == -1.0:
+                uppers.append((coeffs[1:], const, anc, count))
             elif a > 0:
                 # a*var + others + const >= 0  ->  var >= -(const + others)/a
                 lowers.append(([-(v / a) for v in coeffs[1:]], -(const / a), anc, count))
@@ -1279,7 +1310,7 @@ def feasible_completion(m: MomentSet):
                 anc = lanc | uanc
                 count = anc.bit_count()
                 if count <= t + 1:  # Kohler: more ancestors are redundant after t eliminations
-                    rest.append(([u - v for u, v in zip(uc, lc)], uconst - lconst, anc, count))
+                    rest.append((list(map(sub, uc, lc)), uconst - lconst, anc, count))
         constraints = []
         for constraint in _reduce(rest):
             if any(constraint[0]):
@@ -1295,7 +1326,7 @@ def feasible_completion(m: MomentSet):
     values: list[float] = []  # the moments eliminated after var, in elimination order
 
     def _eval(coeffs: list[float], const: float) -> float:
-        return const + sum(v * x for v, x in zip(coeffs, values))
+        return const + sum(map(mul, coeffs, values))
 
     for var, lowers, uppers in reversed(eliminated):
         lo = max((_eval(c, k) for c, k, _, _ in lowers), default=-1.0)

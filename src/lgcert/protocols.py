@@ -99,7 +99,7 @@ class Schedule:
         times = tuple(float(t) for t in self.times)
         if len(times) < 1:
             raise ValidationError("schedule must contain at least one time")
-        if not all(np.isfinite(t) for t in times):
+        if not all(map(math.isfinite, times)):
             raise ValidationError("schedule times must be finite")
         if times[0] <= 0.0:
             raise ValidationError(f"schedule times must be > 0, got t1 = {times[0]}")

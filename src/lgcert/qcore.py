@@ -15,6 +15,7 @@ matrix exponential is always computed through a Hermitian eigendecomposition
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -76,7 +77,7 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
         raise ValidationError(f"{name} must be a square matrix, got shape {arr.shape}")
     if arr.shape[0] < 1:
         raise ValidationError(f"{name} must have positive dimension")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():  # a complex entry is finite when both parts are
         raise ValidationError(f"{name} has non-finite entries")
     return _freeze(arr)
 
@@ -494,10 +495,36 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
 
 
+def _refuse_bool() -> complex:
+    raise TypeError("a bool is not a number")
+
+
+def _items(value) -> list | tuple:
+    return value if isinstance(value, (list, tuple)) else ()
+
+
+def _entry_error(data, name: str) -> ValidationError | None:
+    """The error naming the first [re, im] entry of ``data`` that is a bool or not a real number."""
+    for part in (part for row in _items(data) for pair in _items(row) for part in _items(pair)):
+        if isinstance(part, bool) or not isinstance(part, numbers.Real):
+            return ValidationError(f"{name}: entries must be numbers, got {part!r}")
+    return None
+
+
 def matrix_from_json(data, name: str = "matrix") -> np.ndarray:
+    """A square complex matrix from nested [re, im] pairs of ints or floats, never bools or strings."""
     try:
-        rows = [[complex(float(re), float(im)) for re, im in row] for row in data]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name}: expected nested arrays of [re, im] pairs: {exc}") from exc
+        # complex() refuses strings and None itself, but would read a bool as 0 or 1
+        rows = [
+            [
+                complex(re, im) if type(re) is not bool and type(im) is not bool else _refuse_bool()
+                for re, im in row
+            ]
+            for row in data
+        ]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _entry_error(data, name) or ValidationError(
+            f"{name}: expected nested arrays of [re, im] pairs: {exc}"
+        ) from exc
     arr = np.array(rows, dtype=complex)
     return as_complex_matrix(arr, name)

@@ -218,3 +218,65 @@ def test_non_numeric_sweep_values_become_error_rows(parameter, values, message):
     template = lg3_scenario(protocol={"mode": "projective", "clumsiness": {"kind": "depolarizing", "strength": 0.0}})
     rows = run_sweep(SweepSpec(template, parameter, values))
     assert [r["error"] for r in rows] == [""] + [message.format(v) for v in values[1:]]
+
+
+def matrix_with(entry, dim=2):
+    """A JSON matrix of zeros whose (0, 0) pair is ``entry``."""
+    data = [[[0.0, 0.0] for _ in range(dim)] for _ in range(dim)]
+    data[0][0] = entry
+    return data
+
+
+PROJECTORS = [matrix_to_json(np.diag([1.0, 0.0])), matrix_to_json(np.diag([0.0, 1.0]))]
+
+
+def matrix_fields(entry):
+    """(field prefix of the message, scenario) for each matrix-valued field given ``entry``."""
+    kick = {"kind": "unitary_kick", "strength": 0.3, "generator": matrix_with(entry)}
+    return [
+        ("initial_state: initial_state", lg3_scenario(initial_state=matrix_with(entry))),
+        ("hamiltonian: hamiltonian", lg3_scenario(hamiltonian=matrix_with(entry))),
+        ("observable: observable", lg3_scenario(observable=matrix_with(entry))),
+        ("observable: observable projector 1",
+         lg3_scenario(observable={"projectors": [PROJECTORS[0], matrix_with(entry)]}, checks=["NSIT"])),
+        ("protocol.clumsiness: clumsiness generator",
+         lg3_scenario(protocol={"mode": "projective", "clumsiness": kick})),
+    ]
+
+
+@pytest.mark.parametrize("entry, bad", [
+    ([True, 0.0], True), ([1.0, False], False), (["1", 0.0], "'1'"), ([0.0, "0"], "'0'"),
+    ([None, 0.0], None), ([1.0, [0.0]], [0.0]),
+])
+@pytest.mark.parametrize("index", range(5), ids=["state", "hamiltonian", "observable", "projector", "kick"])
+def test_matrix_entries_reject_non_numbers(entry, bad, index, tmp_path, capsys):
+    prefix, data = matrix_fields(entry)[index]
+    message = f"{prefix}: entries must be numbers, got {bad}"
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(data)
+    assert str(info.value) == message
+    assert main(["certify", write_json(tmp_path, "matrix.json", data)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_matrix_entry_too_large_for_a_float_is_an_error(tmp_path, capsys):
+    data = lg3_scenario(initial_state=matrix_with([10**400, 0]))
+    with pytest.raises(ScenarioError, match="^initial_state: .*too large"):
+        scenario_from_dict(data)
+    assert main(["certify", write_json(tmp_path, "matrix.json", data)]) == 2
+
+
+def test_matrix_entries_of_either_number_type_are_accepted():
+    mixed = [[[1, 0], [0.0, 0]], [[0, 0.0], [0, 0]]]
+    floats = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    state = scenario_from_dict(lg3_scenario(initial_state=mixed)).initial_state.matrix
+    assert np.array_equal(state, scenario_from_dict(lg3_scenario(initial_state=floats)).initial_state.matrix)
+    assert state.dtype == complex
+
+
+def test_non_numeric_matrix_sweep_values_become_error_rows():
+    good = matrix_to_json(np.diag([1.0, 0.0]))
+    rows = run_sweep(SweepSpec(lg3_scenario(), "initial_state", (good, matrix_with([True, 0.0]), good)))
+    assert [r["error"] for r in rows] == [
+        "", "initial_state: initial_state: entries must be numbers, got True", ""
+    ]
