@@ -21,6 +21,7 @@ import numbers
 import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -118,6 +119,18 @@ def _integers(name: str, value) -> tuple[int, ...]:
     return tuple(_integer(name, v) for v in value)
 
 
+def _matrix(data, name: str):
+    """A matrix field read by ``matrix_from_json``, whose errors name ``name`` already.
+
+    They are raised as ``ScenarioError``, which ``_field`` passes on as it
+    stands, so a message names its field once.
+    """
+    try:
+        return matrix_from_json(data, name)
+    except ValidationError as exc:
+        raise ScenarioError(str(exc)) from exc
+
+
 def _parse_state(spec, dim: int) -> DensityOperator:
     if isinstance(spec, str):
         if spec == "maximally_mixed":
@@ -131,7 +144,7 @@ def _parse_state(spec, dim: int) -> DensityOperator:
         raise ScenarioError(
             f"initial_state: unknown preset {spec!r}; expected one of {STATE_PRESETS}"
         )
-    mat = matrix_from_json(spec, "initial_state")
+    mat = _matrix(spec, "initial_state")
     if mat.shape[0] != dim:
         raise ScenarioError(
             f"initial_state: matrix dimension {mat.shape[0]} does not match dimension {dim}"
@@ -146,7 +159,7 @@ def _parse_hamiltonian(spec, dim: int) -> Hamiltonian:
         if dim != 2:
             raise ScenarioError("hamiltonian: preset 'precession' requires dimension 2")
         return Hamiltonian.precession(_number("hamiltonian.frequency", spec.get("frequency", 1.0)))
-    mat = matrix_from_json(spec, "hamiltonian")
+    mat = _matrix(spec, "hamiltonian")
     if mat.shape[0] != dim:
         raise ScenarioError(
             f"hamiltonian: matrix dimension {mat.shape[0]} does not match dimension {dim}"
@@ -163,7 +176,7 @@ def _parse_observable(spec, dim: int) -> Observable:
         return DichotomicObservable.sigma_z()
     if isinstance(spec, Mapping) and "projectors" in spec:
         projs = tuple(
-            matrix_from_json(p, f"observable projector {i}")
+            _matrix(p, f"observable projector {i}")
             for i, p in enumerate(spec["projectors"])
         )
         labels = range(1, len(projs) + 1)
@@ -171,7 +184,7 @@ def _parse_observable(spec, dim: int) -> Observable:
             labels = _integers("observable.labels", spec["labels"])
         obs: Observable = ManyValuedObservable(projs, labels)
     else:
-        obs = DichotomicObservable(matrix_from_json(spec, "observable"))
+        obs = DichotomicObservable(_matrix(spec, "observable"))
     if obs.dim != dim:
         raise ScenarioError(f"observable: dimension {obs.dim} does not match dimension {dim}")
     return obs
@@ -190,7 +203,7 @@ def _parse_clumsiness(spec) -> ClumsinessModel:
     if kind == "unitary_kick":
         return ClumsinessModel.unitary_kick(
             _number("protocol.clumsiness.strength", spec["strength"]),
-            matrix_from_json(spec["generator"], "clumsiness generator"),
+            _matrix(spec["generator"], "protocol.clumsiness.generator"),
         )
     raise ScenarioError(f"protocol.clumsiness: unknown kind {kind!r}")
 
@@ -481,8 +494,83 @@ def sweep_to_csv(rows: Sequence[dict]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+# JSON output is written here in one pass rather than by ``json.dumps(...,
+# indent=2)``, which runs the stdlib's pure-Python encoder whenever ``indent``
+# is set.  The text is the same, byte for byte.
+_FLOAT_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# Per dict shape (its keys in insertion order): the keys sorted, each with its
+# encoded '"key": ' prefix.  A benchmark report holds 67-120 dicts of at most
+# 11 shapes, 21 over all 210; the cap only guards against unbounded growth.
+_SHAPES: dict[tuple, tuple[tuple[str, str], ...]] = {}
+_SHAPES_CAP = 1024
+
+
+def _sorted_prefixes(value: dict) -> tuple[tuple[str, str], ...] | None:
+    """The memo entry for ``value``'s shape; ``None``, and nothing kept, if a key is not a str."""
+    shape = tuple(value)
+    items = _SHAPES.get(shape)
+    if items is None:
+        if not all(type(key) is str for key in shape):
+            return None
+        if len(_SHAPES) >= _SHAPES_CAP:
+            _SHAPES.clear()
+        items = _SHAPES[shape] = tuple((key, encode_basestring_ascii(key) + ": ") for key in sorted(shape))
+    return items
+
+
+def _write_json(value: Any, out: list[str], pad: str) -> None:
+    """Append the text of ``value`` to ``out``; ``pad`` is a newline and the current indent.
+
+    str, int, float, bool and None are written as the stdlib writes them; a
+    dict with str keys, a list and a tuple item by item.  Anything else (an
+    empty container, a numpy scalar, a set, a dict with a non-str key) is
+    handed to ``json.dumps`` with the same options, re-indented to ``pad``:
+    the same text, or the same ``TypeError``.  Values must form a tree: a
+    container that holds itself recurses until ``RecursionError``.
+    """
+    t = type(value)
+    if t is str:
+        out.append(encode_basestring_ascii(value))
+    elif t is float:
+        text = float.__repr__(value)
+        out.append(_FLOAT_CONSTANTS.get(text, text))
+    elif t is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif t is bool:
+        out.append("true" if value else "false")
+    elif t is dict and value and (items := _sorted_prefixes(value)) is not None:
+        inner = pad + "  "
+        comma = "," + inner
+        start = len(out)
+        for key, prefix in items:
+            out.append(comma)
+            out.append(prefix)
+            _write_json(value[key], out, inner)
+        out[start] = "{" + inner
+        out.append(pad + "}")
+    elif (t is list or t is tuple) and value:
+        inner = pad + "  "
+        comma = "," + inner
+        start = len(out)
+        for item in value:
+            out.append(comma)
+            _write_json(item, out, inner)
+        out[start] = "[" + inner
+        out.append(pad + "]")
+    else:
+        # JSON strings hold no raw newline, so every newline here is indentation.
+        out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", pad))
+
+
+def _report_to_json(report: Any) -> str:
+    """``json.dumps(report, sort_keys=True, indent=2) + "\\n"``, byte for byte."""
+    out: list[str] = []
+    _write_json(report, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def _report_to_csv(report: dict) -> str:
@@ -575,7 +663,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if fmt == "csv":
             _emit(sweep_to_csv(rows), args.out)
         else:
-            _emit(json.dumps(rows, sort_keys=True, indent=2) + "\n", args.out)
+            _emit(_report_to_json(rows), args.out)
         return 1 if any(row["verdict"] == "violations" for row in rows) else 0
     except (ScenarioError, ValidationError) as exc:
         sys.stderr.write(f"error: {exc}\n")

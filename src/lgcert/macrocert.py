@@ -51,6 +51,7 @@ from .protocols import (
     _ColumnRunner,
     _ExperimentRunner,
     _marginal_columns,
+    _outcome_key,
     _row_sums,
     _Runner,
     _RowSet,
@@ -85,10 +86,6 @@ __all__ = [
 
 VERDICT_TOL = 1e-10
 IDENTITY_TOL = 1e-12
-
-
-def _sign_str(values: Iterable[int]) -> str:
-    return ",".join(f"+{v}" if v >= 0 else str(v) for v in values)
 
 
 def moment_keys(n: int) -> list[tuple[int, ...]]:
@@ -237,12 +234,12 @@ def _candidate_entries(m, var: Callable, n: int, total: Callable = sum) -> tuple
 
 def _monotonicity_order(outcomes: Iterable[tuple[int, ...]]) -> list[tuple[str, tuple[int, ...]]]:
     """The monotonicity conditions' ids and full-table outcomes, in descending outcome order."""
-    return [(f"MONO-({_sign_str(o)})", o) for o in sorted(outcomes, reverse=True)]
+    return [(f"MONO-({_outcome_key(o)})", o) for o in sorted(outcomes, reverse=True)]
 
 
 def _nonnegativity_margins(values: Mapping[tuple[int, ...], Any], variance) -> list[tuple[str, Any, Any]]:
     """One non-negativity condition per candidate entry, in descending sign order, each with ``variance``."""
-    return [(f"NONNEG-({_sign_str(signs)})", values[signs], variance) for signs in sorted(values, reverse=True)]
+    return [(f"NONNEG-({_outcome_key(signs)})", values[signs], variance) for signs in sorted(values, reverse=True)]
 
 
 @dataclass(frozen=True)
@@ -383,13 +380,13 @@ class WitnessReport:
     def to_json(self) -> dict:
         data = {
             "id": self.condition,
-            "defects": {_sign_str(k): v for k, v in sorted(self.defects.items())},
+            "defects": {_outcome_key(k): v for k, v in sorted(self.defects.items())},
             "max_abs": self.max_abs,
             "threshold": self.threshold,
             "verdict": self.verdict,
         }
         if self.stderrs is not None:
-            data["stderrs"] = {_sign_str(k): v for k, v in sorted(self.stderrs.items())}
+            data["stderrs"] = {_outcome_key(k): v for k, v in sorted(self.stderrs.items())}
         return data
 
 
@@ -708,18 +705,18 @@ def check_appendix_identities(
     entries = []
     for s1, s2 in itertools.product((1, -1), repeat=2):
         residual = abs(p12[(s1, s2)] - (quasi[(s1, s2)] - 0.5 * witness[s2]))
-        entries.append(_result(f"A-DECOMP-({_sign_str((s1, s2))})", -residual, 0.0))
+        entries.append(_result(f"A-DECOMP-({_outcome_key((s1, s2))})", -residual, 0.0))
     all_q_nonneg = all(v >= -VERDICT_TOL for v in quasi.values())
     for s2 in (1, -1):
         if all_q_nonneg and witness[s2] < 0.0:
             bound = 2.0 * min(p12[(1, s2)], p12[(-1, s2)]) - abs(witness[s2])
-            entries.append(_result(f"A-WBOUND-({_sign_str((s2,))})", bound, 0.0))
+            entries.append(_result(f"A-WBOUND-({_outcome_key((s2,))})", bound, 0.0))
     for s1, s2 in itertools.product((1, -1), repeat=2):
         entries.append(
-            _result(f"A-MONO-({_sign_str((s1, s2))})", p2_alone[s2] - p12[(s1, s2)], 0.0)
+            _result(f"A-MONO-({_outcome_key((s1, s2))})", p2_alone[s2] - p12[(s1, s2)], 0.0)
         )
         residual = abs((p2_alone[s2] - p12[(s1, s2)]) - (p12[(-s1, s2)] + witness[s2]))
-        entries.append(_result(f"A-MONO-EQUIV-({_sign_str((s1, s2))})", -residual, 0.0))
+        entries.append(_result(f"A-MONO-EQUIV-({_outcome_key((s1, s2))})", -residual, 0.0))
     return InequalityReport(tuple(entries))
 
 
@@ -1174,9 +1171,16 @@ class InfeasibilityCertificate:
 _FM_SLACK = 1e-10
 
 
+@functools.cache
+def _moment_index(n: int) -> dict[tuple[int, ...], int]:
+    # Each moment key's column, in moment_keys order; shared by every call, never mutated.
+    return {key: i for i, key in enumerate(moment_keys(n))}
+
+
 def _elimination_order(m: MomentSet) -> list[tuple[int, ...]]:
     # E first, then third-order lexicographic, then pairs, then averages.
-    return sorted(m.unfixed_keys(), key=lambda key: (-len(key), key))
+    given = m.values
+    return sorted([k for k in _moment_index(m.n) if k not in given], key=lambda key: (-len(key), key))
 
 
 @functools.cache
@@ -1270,10 +1274,10 @@ def feasible_completion(m: MomentSet):
     if not unfixed:
         raise ValidationError("nothing to complete: every moment is fixed")
 
-    keys = moment_keys(m.n)
-    columns = [keys.index(key) for key in unfixed]
+    keys = _moment_index(m.n)
+    columns = [keys[key] for key in unfixed]
     given = m.values
-    fixed = [(i, given[key]) for i, key in enumerate(keys) if key in given]
+    fixed = [(i, given[key]) for key, i in keys.items() if key in given]
     constraints = []
     for index, row in enumerate(_sign_rows(m.n)):
         const = 1.0

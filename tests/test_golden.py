@@ -28,7 +28,10 @@ the blind mode through ``dephase`` changes its report.  The six sweeps are:
   negative seed must come back as an error row.
 
 Their rows run as batches, so these pin the batched rows to the bytes that
-rows run one at a time produced.
+rows run one at a time produced.  Two cases pin the other JSON outputs: the
+``oracle`` payload of the d=4 ``inrm_dephased`` scenario at 10^4 shots, and
+the kick-strength sweep written with ``--format json``.  A case's optional
+``args`` list is passed after its input.
 """
 
 from __future__ import annotations
@@ -44,9 +47,17 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("case", CASES, ids=[c["input"].removesuffix(".json") for c in CASES])
+def case_id(case: dict) -> str:
+    """The input's stem, then ``oracle`` for that command and the arguments without their dashes."""
+    words = [case["input"].removesuffix(".json")]
+    if case["command"] == "oracle":  # its input is a certify case too
+        words.append("oracle")
+    return "-".join(words + [a.lstrip("-") for a in case.get("args", [])])
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case_id(c) for c in CASES])
 def test_output_matches_golden_bytes(case, tmp_path):
     out = tmp_path / case["output"]
-    code = main([case["command"], str(GOLDEN / case["input"]), "--out", str(out)])
+    code = main([case["command"], str(GOLDEN / case["input"]), *case.get("args", []), "--out", str(out)])
     assert code == case["exit_code"]
     assert out.read_bytes() == (GOLDEN / case["output"]).read_bytes()

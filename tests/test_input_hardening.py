@@ -234,12 +234,12 @@ def matrix_fields(entry):
     """(field prefix of the message, scenario) for each matrix-valued field given ``entry``."""
     kick = {"kind": "unitary_kick", "strength": 0.3, "generator": matrix_with(entry)}
     return [
-        ("initial_state: initial_state", lg3_scenario(initial_state=matrix_with(entry))),
-        ("hamiltonian: hamiltonian", lg3_scenario(hamiltonian=matrix_with(entry))),
-        ("observable: observable", lg3_scenario(observable=matrix_with(entry))),
-        ("observable: observable projector 1",
+        ("initial_state", lg3_scenario(initial_state=matrix_with(entry))),
+        ("hamiltonian", lg3_scenario(hamiltonian=matrix_with(entry))),
+        ("observable", lg3_scenario(observable=matrix_with(entry))),
+        ("observable projector 1",
          lg3_scenario(observable={"projectors": [PROJECTORS[0], matrix_with(entry)]}, checks=["NSIT"])),
-        ("protocol.clumsiness: clumsiness generator",
+        ("protocol.clumsiness.generator",
          lg3_scenario(protocol={"mode": "projective", "clumsiness": kick})),
     ]
 
@@ -278,5 +278,5 @@ def test_non_numeric_matrix_sweep_values_become_error_rows():
     good = matrix_to_json(np.diag([1.0, 0.0]))
     rows = run_sweep(SweepSpec(lg3_scenario(), "initial_state", (good, matrix_with([True, 0.0]), good)))
     assert [r["error"] for r in rows] == [
-        "", "initial_state: initial_state: entries must be numbers, got True", ""
+        "", "initial_state: entries must be numbers, got True", ""
     ]
