@@ -1011,7 +1011,7 @@ def _moment_column(key: tuple[int, ...], table: _TableColumns) -> tuple[np.ndarr
 
 
 def _moment_columns(runner: _ColumnRunner, moment_times: list[tuple[int, ...]]) -> _Moments | None:
-    """The moments of ``_certify`` and their variances for every row, with ``MomentSet``'s range check."""
+    """The moments of ``_certify`` and their variances for every row."""
     if not moment_times:
         return None
     sources = _moment_experiments(runner, moment_times)
@@ -1023,8 +1023,6 @@ def _moment_columns(runner: _ColumnRunner, moment_times: list[tuple[int, ...]]) 
                 sources[positions] = _marginal_columns(table, positions)
                 runner.fail(sources[positions].errors)
     columns = {key: _moment_column(key, table) for key, table in sources.items()}
-    for key, (value, _) in columns.items():
-        runner.fail(_moment_error(key, v) for v in value.tolist())
     return {key: value for key, (value, _) in columns.items()}, {key: v for key, (_, v) in columns.items()}
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -174,7 +175,9 @@ def _format_label(label: int) -> str:
     return f"+{label}" if label >= 0 else str(label)
 
 
+@functools.lru_cache(maxsize=1024)
 def _outcome_key(outcome: tuple[int, ...]) -> str:
+    """``"+1,-1"``-style text of an outcome tuple; reports and check ids format the same few many times."""
     return ",".join(_format_label(v) for v in outcome)
 
 
@@ -201,6 +204,24 @@ def _entry_error(outcome: tuple[int, ...], p: float) -> str:
 def _sum_error(total: float) -> str | None:
     """Why an exact table whose entries sum to ``total`` is invalid, or ``None``."""
     return f"exact table must sum to 1 (got {total!r})" if abs(total - 1.0) > NORMALIZATION_TOL else None
+
+
+def _entry_value(outcome: tuple[int, ...], p: Any) -> float:
+    """A supplied table entry as a float; a bool or a string is no number here."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise ValidationError(f"probability for {outcome} must be a number, got {p!r}")
+    return float(p)
+
+
+def _check_entries(probs: Mapping[tuple[int, ...], float], kind: str) -> None:
+    """Raise for a table's first entry out of range, then for an exact table's sum off 1."""
+    for k, p in probs.items():
+        if not _entry_in_range(p):
+            raise ValidationError(_entry_error(k, p))
+    if kind == "exact":
+        error = _sum_error(sum(probs.values()))
+        if error is not None:
+            raise ValidationError(error)
 
 
 def _entry_variance(p, shots: int):
@@ -238,20 +259,14 @@ class OutcomeTable:
         if not slots or any(len(s) < 2 for s in slots):
             raise ValidationError("each slot needs at least two outcome labels")
         expected = _outcome_product(slots)
-        probs = {tuple(map(int, k)): float(p) for k, p in dict(self.probabilities).items()}
+        probs = {tuple(map(int, k)): _entry_value(k, p) for k, p in dict(self.probabilities).items()}
         if probs.keys() != expected:
             missing = sorted(expected - set(probs))
             extra = sorted(set(probs) - expected)
             raise ValidationError(
                 f"probabilities must cover exactly the outcome product (missing {missing[:4]}, extra {extra[:4]})"
             )
-        for k, p in probs.items():
-            if not _entry_in_range(p):
-                raise ValidationError(_entry_error(k, p))
-        if self.kind == "exact":
-            error = _sum_error(sum(probs.values()))
-            if error is not None:
-                raise ValidationError(error)
+        _check_entries(probs, self.kind)
         if self.slot_times is not None:
             st = tuple(int(i) for i in self.slot_times)
             if len(st) != len(slots):
@@ -261,6 +276,27 @@ class OutcomeTable:
             raise ValidationError("empirical table shots must be >= 1")
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "probabilities", probs)
+
+    @classmethod
+    def _built(
+        cls,
+        slots: tuple[tuple[int, ...], ...],
+        probabilities: dict[tuple[int, ...], float],
+        kind: str = "exact",
+        shots: int | None = None,
+        slot_times: tuple[int, ...] | None = None,
+    ) -> OutcomeTable:
+        """A table the program builds from its own columns, checked only where it can fail.
+
+        Its labels and keys are int tuples over exactly the outcome product,
+        its entries floats and its other fields valid, so of
+        ``__post_init__`` only ``_check_entries`` runs; ``probabilities`` is
+        held as given, not copied.
+        """
+        _check_entries(probabilities, kind)
+        table = object.__new__(cls)
+        table.__dict__.update(slots=slots, probabilities=probabilities, kind=kind, shots=shots, slot_times=slot_times)
+        return table
 
     @property
     def arity(self) -> int:
@@ -621,7 +657,7 @@ def _row_table(
     """
     probs = dict(zip(table.outcomes, table.values[row].tolist()))
     if config.shots == 0:
-        return OutcomeTable(table.slots, probs, slot_times=measured)
+        return OutcomeTable._built(table.slots, probs, slot_times=measured)
     if not config.uses_detectors:
         return _sampled_table(table.slots, probs, config.shots, next_generator(), measured)
     entries = list(probs.items())
@@ -631,7 +667,7 @@ def _row_table(
         block = dict(entries[start : start + width])
         block, _ = _sample_surviving(block, 1.0 - sum(block.values()), config.shots, next_generator())
         sampled.update(block)
-    return OutcomeTable(table.slots, sampled, kind="empirical", shots=config.shots, slot_times=measured)
+    return OutcomeTable._built(table.slots, sampled, kind="empirical", shots=config.shots, slot_times=measured)
 
 
 # ---------------------------------------------------------------------------
@@ -1337,13 +1373,7 @@ def marginal_distribution(table: OutcomeTable, keep: Sequence[int]) -> OutcomeTa
         probs[key] = probs.get(key, 0.0) + p
     slots = tuple(table.slots[i] for i in idx)
     slot_times = tuple(table.slot_times[i] for i in idx) if table.slot_times else None
-    return OutcomeTable(
-        slots=slots,
-        probabilities=probs,
-        kind=table.kind,
-        shots=table.shots,
-        slot_times=slot_times,
-    )
+    return OutcomeTable._built(slots, probs, table.kind, table.shots, slot_times)
 
 
 def _generator(seed: int | np.random.Generator) -> np.random.Generator:
@@ -1399,13 +1429,7 @@ def _sampled_table(
     """One multinomial draw over the entries ``probs``, each clamped to [0, 1], in sorted outcome order."""
     keys = sorted(probs)
     freqs = _frequencies([min(1.0, max(0.0, probs[k])) for k in keys], shots, rng)
-    return OutcomeTable(
-        slots=slots,
-        probabilities=dict(zip(keys, freqs)),
-        kind="empirical",
-        shots=shots,
-        slot_times=slot_times,
-    )
+    return OutcomeTable._built(slots, dict(zip(keys, freqs)), "empirical", shots, slot_times)
 
 
 def run_nsit_pair(
@@ -1465,7 +1489,7 @@ def table_from_json(data: Mapping) -> OutcomeTable:
     try:
         slots = tuple(tuple(int(v) for v in slot) for slot in data["slots"])
         probs = {
-            tuple(int(part) for part in key.split(",")): float(p)
+            tuple(int(part) for part in key.split(",")): p
             for key, p in data["probabilities"].items()
         }
     except (KeyError, TypeError, ValueError) as exc:
