@@ -442,13 +442,14 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     sampled frequencies, and sampling stays per row: each row draws its own
     multinomials from its own child seeds, in its own certification's
     order.  Rows that share a seed share its child seeds and their generator
-    states (each child is spawned and seeded once per sweep, and each draw
-    restores its state).  Rows whose checks differ share no walk, and
-    where the cap on a call's entries binds, a group is sized by the whole
-    schedule.  Every row equals ``run_certification`` on its own scenario,
-    bit for bit.  A row that fails, including one whose value is malformed
-    or whose exact table fails validation, carries its error message in the
-    ``error`` field and the sweep continues.
+    states (each child seed is derived from (seed, draw index) and seeded
+    once per sweep, and each draw restores its state).  Rows whose checks
+    differ share no walk, and where the cap on a call's entries binds, a
+    group is sized by the whole schedule.  Every row equals
+    ``run_certification`` on its own scenario, bit for bit.  A row that
+    fails, including one whose value is malformed or whose exact table fails
+    validation, carries its error message in the ``error`` field and the
+    sweep continues.
     """
     template = spec.scenario
     if template is None:

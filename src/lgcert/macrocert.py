@@ -220,14 +220,13 @@ def _candidate_entries(m, var: Callable, n: int, total: Callable = sum) -> tuple
     variances over 4^n.
     """
     keys = moment_keys(n)
+    moments = [m[key] for key in keys]
     values = {}
-    for signs in itertools.product((1, -1), repeat=n):
+    # each sign tuple's row of sign products, as Fourier-Motzkin's initial constraints hold them
+    for signs, row in zip(itertools.product((1, -1), repeat=n), _sign_rows(n)):
         acc = 1.0
-        for key in keys:
-            sign = 1
-            for i in key:
-                sign *= signs[i - 1]
-            acc = acc + sign * m[key]
+        for sign, moment in zip(row, moments):
+            acc = acc + sign * moment
         values[signs] = acc / (2**n)
     return values, total([var(key) for key in keys]) / (4**n)
 
@@ -279,6 +278,15 @@ class MomentSet:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "variances", variances)
+
+    @classmethod
+    def _built(
+        cls, n: int, values: dict[tuple[int, ...], float], variances: dict[tuple[int, ...], float]
+    ) -> MomentSet:
+        """A moment set the program builds from a validated one's entries, held as given and not checked again."""
+        moments = object.__new__(cls)
+        moments.__dict__.update(n=n, values=values, variances=variances)
+        return moments
 
     def is_fixed(self, key: tuple[int, ...]) -> bool:
         return tuple(key) in self.values
@@ -606,11 +614,16 @@ def check_monotonicity(full: OutcomeTable, reduced: OutcomeTable) -> InequalityR
 # ---------------------------------------------------------------------------
 
 
+def _heisenberg_stack(q: Observable, h: Hamiltonian, t: float) -> np.ndarray:
+    """The (N, d, d) stack of Heisenberg projectors P_s(t), in ``q.outcomes`` order."""
+    u = unitary_for(h, t)
+    return u.conj().T @ q.projector_stack @ u
+
+
 def _heisenberg_projectors(
     q: Observable, h: Hamiltonian, t: float
 ) -> dict[int, np.ndarray]:
-    u = unitary_for(h, t)
-    return dict(zip(q.outcomes, u.conj().T @ q.projector_stack @ u))
+    return dict(zip(q.outcomes, _heisenberg_stack(q, h, t)))
 
 
 def quasi_probability(
@@ -688,18 +701,18 @@ def check_appendix_identities(
         raise ValidationError("the two-time identities are stated for a dichotomic observable")
     if not float(t1) < float(t2):
         raise ValidationError(f"need t1 < t2, got t1 = {t1}, t2 = {t2}")
-    p1 = _heisenberg_projectors(q, h, t1)
-    p2 = _heisenberg_projectors(q, h, t2)
+    p1 = _heisenberg_stack(q, h, t1)
+    p2 = _heisenberg_stack(q, h, t2)
     r = rho.matrix
-    p12 = {
-        (s1, s2): float(np.real(np.trace(p2[s2] @ p1[s1] @ r @ p1[s1])))
-        for s1 in (1, -1)
-        for s2 in (1, -1)
-    }
-    p2_alone = {s2: float(np.real(np.trace(p2[s2] @ r))) for s2 in (1, -1)}
-    quasi = {
-        (s1, s2): float(np.real(np.trace(p2[s2] @ p1[s1] @ r))) for s1 in (1, -1) for s2 in (1, -1)
-    }
+    # every (s2, s1) pair at once, each product associated as P2 P1 rho, then (P2 P1 rho) P1
+    x = p2[:, None] @ p1[None] @ r
+    traces = np.trace(x, axis1=-2, axis2=-1).real.tolist()
+    sequential = np.trace(x @ p1[None], axis1=-2, axis2=-1).real.tolist()
+    signs = list(enumerate(q.outcomes))  # (0, 1), (1, -1)
+    p12 = {(s1, s2): sequential[j][i] for i, s1 in signs for j, s2 in signs}
+    quasi = {(s1, s2): traces[j][i] for i, s1 in signs for j, s2 in signs}
+    alone = np.trace(p2 @ r, axis1=-2, axis2=-1).real.tolist()
+    p2_alone = {s2: alone[j] for j, s2 in signs}
     witness = {s2: p2_alone[s2] - (p12[(1, s2)] + p12[(-1, s2)]) for s2 in (1, -1)}
 
     entries = []
@@ -784,7 +797,7 @@ class _Check:
 
 
 def _nonnegativity(m: MomentSet, n: int) -> tuple[ConditionResult, ...]:
-    sub = MomentSet(
+    sub = MomentSet._built(
         n=n,
         values={k: v for k, v in m.values.items() if max(k) <= n},
         variances={k: v for k, v in m.variances.items() if max(k) <= n},

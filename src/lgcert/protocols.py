@@ -206,6 +206,27 @@ def _sum_error(total: float) -> str | None:
     return f"exact table must sum to 1 (got {total!r})" if abs(total - 1.0) > NORMALIZATION_TOL else None
 
 
+def _labels(values: Any, where: str) -> tuple[int, ...]:
+    """A supplied slot or outcome key as int labels; ``where`` ("slot", "key") names it in an error.
+
+    A bool, or anything ``int`` cannot read, is no label.
+    """
+    try:
+        labels = tuple(values)
+    except TypeError:
+        raise ValidationError(f"{where} {values!r} is not a sequence of outcome labels") from None
+    out = []
+    for v in labels:
+        try:
+            label = None if isinstance(v, (bool, np.bool_)) else int(v)
+        except (TypeError, ValueError):
+            label = None
+        if label is None:
+            raise ValidationError(f"outcome label {v!r} in {where} {values!r} is not an integer")
+        out.append(label)
+    return tuple(out)
+
+
 def _entry_value(outcome: tuple[int, ...], p: Any) -> float:
     """A supplied table entry as a float; a bool or a string is no number here."""
     if isinstance(p, bool) or not isinstance(p, numbers.Real):
@@ -255,11 +276,11 @@ class OutcomeTable:
     def __post_init__(self):
         if self.kind not in ("exact", "empirical"):
             raise ValidationError(f"table kind must be 'exact' or 'empirical', got {self.kind!r}")
-        slots = tuple(tuple(map(int, slot)) for slot in self.slots)
+        slots = tuple(_labels(slot, "slot") for slot in self.slots)
         if not slots or any(len(s) < 2 for s in slots):
             raise ValidationError("each slot needs at least two outcome labels")
         expected = _outcome_product(slots)
-        probs = {tuple(map(int, k)): _entry_value(k, p) for k, p in dict(self.probabilities).items()}
+        probs = {_labels(k, "key"): _entry_value(k, p) for k, p in dict(self.probabilities).items()}
         if probs.keys() != expected:
             missing = sorted(expected - set(probs))
             extra = sorted(set(probs) - expected)
@@ -462,7 +483,7 @@ def _walk(
     live = [(request, path) for request, path in paths.items() if not isinstance(path, _Failure)]
     if not live:
         return results
-    steps = {step: i for i, step in enumerate(dict.fromkeys(key[0] for _, path in live for key, _ in path))}
+    steps = list(dict.fromkeys(key[0] for _, path in live for key, _ in path))
     d, rows = rho.dim, len(times)
     t = np.asarray(times, dtype=float)
     if (t == t[0]).all():
@@ -472,6 +493,8 @@ def _walk(
     step_times = np.stack([t[:, b - 1] - t[:, a - 1] if a else t[:, b - 1] for a, b in steps], axis=1)
     unitaries = unitary_for(h, step_times.ravel()).reshape(*step_times.shape, d, d)
     adjoints = unitaries.conj().swapaxes(-1, -2)
+    # each step's (R, 1, d, d) unitary and adjoint, sliced once for all its nodes
+    ops = {step: (unitaries[:, i, None], adjoints[:, i, None]) for i, step in enumerate(steps)}
     # each pending node: its parent's stack, its depth, and the paths through it
     pending: list[tuple[np.ndarray, int, list]] = []
 
@@ -486,9 +509,8 @@ def _walk(
     while pending:
         stack, depth, group = pending.pop()
         key, obs = group[0][1][depth]
-        step = steps[key[0]]
         try:
-            stack = _advance(stack, key, obs, unitaries[:, step, None], adjoints[:, step, None], clumsiness)
+            stack = _advance(stack, key, obs, *ops[key[0]], clumsiness)
         except ValidationError as exc:
             results.update(dict.fromkeys((request for request, _ in group), _Failure(exc)))
             continue
@@ -696,7 +718,9 @@ class Scenario:
     raw: Mapping[str, Any] = field(default_factory=dict)
 
 
-def _times_name(times: Sequence[int]) -> str:
+@functools.lru_cache(maxsize=256)
+def _times_name(times: tuple[int, ...]) -> str:
+    """``"123"``-style text of 1-based times; experiment keys and moment names repeat the same few."""
     return "".join(str(i) for i in times)
 
 
@@ -764,13 +788,13 @@ class _RowSet:
     and where the cap binds, a group is sized by the whole schedule, not by
     each experiment's own branches.
 
-    It also owns finite-shot seeding.  Per scenario seed it keeps one
-    ``SeedSequence`` root, spawned one child at a time, and the child seeds
-    drawn so far; per child seed, the initial state of its PCG64 stream.
-    Rows that share a seed (all rows of a sweep, unless the seed is swept)
-    therefore spawn and seed each child once.  The groups and caches live as
-    long as the row set, which is one library, ``run_certification`` or
-    ``run_sweep`` call.
+    It also owns finite-shot seeding.  The child seed of a draw is derived
+    from (scenario seed, draw index) directly, as that index's
+    ``SeedSequence`` spawn key, and the row set keeps the initial state of
+    each child's PCG64 stream by (seed, index).  Rows that share a seed (all
+    rows of a sweep, unless the seed is swept) therefore derive and seed each
+    child once.  The groups and the cache live as long as the row set, which
+    is one library, ``run_certification`` or ``run_sweep`` call.
     """
 
     def __init__(self, scenarios: Sequence[Scenario | str]):
@@ -788,8 +812,7 @@ class _RowSet:
             else:
                 group.scenarios.append(s)
             self._placed.append((group, len(group.scenarios) - 1))
-        self._children: dict[int, tuple[np.random.SeedSequence, list[int]]] = {}
-        self._states: dict[int, dict] = {}
+        self._states: dict[tuple[int, int], dict] = {}
         self._rng: np.random.Generator | None = None
 
     def group(self, row: int) -> tuple[_ColumnRunner, int]:
@@ -803,21 +826,16 @@ class _RowSet:
         """A generator at the start of the stream of ``seed``'s ``index``-th child seed.
 
         The stream is ``np.random.default_rng(child)`` for the child seed
-        ``SeedSequence(seed).spawn(index + 1)[index]`` reduces to.  A stream
-        seen before is restored into one shared generator from its cached
-        initial state, so the generator returned is valid until the next call.
+        ``SeedSequence(seed, spawn_key=(index,))`` reduces to, which is the
+        index-th child ``SeedSequence(seed).spawn`` gives.  A stream seen
+        before is restored into one shared generator from its cached initial
+        state, so the generator returned is valid until the next call.
         """
-        entry = self._children.get(seed)
-        if entry is None:
-            entry = self._children[seed] = (np.random.SeedSequence(seed), [])
-        root, children = entry
-        while len(children) <= index:
-            children.append(int(root.spawn(1)[0].generate_state(1)[0]))
-        child = children[index]
-        state = self._states.get(child)
+        state = self._states.get((seed, index))
         if state is None:
+            child = int(np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(1)[0])
             bits = np.random.PCG64(child)
-            self._states[child] = bits.state
+            self._states[seed, index] = bits.state
             rng = np.random.Generator(bits)
             if self._rng is None:
                 self._rng = rng
@@ -886,9 +904,9 @@ class _ExperimentRunner(_Runner):
     Each experiment's table is built from the row's share of the group's
     cleaned columns (``_row_table``), exact or sampled.  Every sampled
     experiment draws its own child seed from the scenario seed in execution
-    order (the runner keeps only the draw index; the row set spawns and
-    seeds), so identical scenarios reproduce byte-identical reports, whether
-    the row runs alone or within a sweep.
+    order (the runner keeps only the draw index; the row set derives the
+    child from (seed, index) and seeds it), so identical scenarios reproduce
+    byte-identical reports, whether the row runs alone or within a sweep.
     """
 
     def __init__(self, rows: _RowSet, row: int):
@@ -1487,7 +1505,7 @@ def table_to_json(table: OutcomeTable) -> dict:
 
 def table_from_json(data: Mapping) -> OutcomeTable:
     try:
-        slots = tuple(tuple(int(v) for v in slot) for slot in data["slots"])
+        slots = tuple(_labels(slot, "slot") for slot in data["slots"])
         probs = {
             tuple(int(part) for part in key.split(",")): p
             for key, p in data["probabilities"].items()
@@ -1557,8 +1575,16 @@ def table_from_csv(
         cells = ln.split(",")
         if len(cells) != arity + 1:
             raise ValidationError(f"CSV row has {len(cells)} cells, expected {arity + 1}")
-        outcome = tuple(int(c) for c in cells[:arity])
-        probs[outcome] = float(cells[arity])
+        outcome = []
+        for c in cells[:arity]:
+            try:
+                outcome.append(int(c))
+            except ValueError:
+                raise ValidationError(f"CSV cell {c!r} in row {ln!r} is not an integer label") from None
+        try:
+            probs[tuple(outcome)] = float(cells[arity])
+        except ValueError:
+            raise ValidationError(f"CSV probability cell {cells[arity]!r} in row {ln!r} is not a number") from None
     slots = tuple(
         declared[i] or tuple(sorted({o[i] for o in probs}, reverse=True)) for i in range(arity)
     )

@@ -9,7 +9,11 @@ a change pass.
 The certify scenarios cover the README precession with all nine checks
 (four times), random-Q ``ancilla_blind`` runs at d=2 and d=4, a d=16
 ``inrm`` run, a d=4 ``inrm_dephased`` run at 10^4 shots and a d=4 run with a
-``unitary_kick`` clumsiness channel.  The d=2 ancilla case matters: there
+``unitary_kick`` clumsiness channel.  ``d4_inrm_dephased_derived_shots`` is
+the only case with ``derive_lower_moments: true``: a d=4 ``inrm_dephased``
+run over three times at 10^4 shots with LG2, LG3, NONNEG3 and NSIT3, whose
+moments all come from marginals of one sampled three-time table (exit 0).
+The d=2 ancilla case matters: there
 the ancilla circuit and plain dephasing differ in the last bit, so routing
 the blind mode through ``dephase`` changes its report.  The six sweeps are:
 

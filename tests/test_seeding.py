@@ -1,11 +1,13 @@
 """Finite-shot seeding and the one-pass INRM table.
 
-A sweep's row set spawns each child seed of a scenario seed once and caches
-the child's PCG64 initial state; every later draw from that child restores
-the state into a shared generator.  These tests pin that to the streams a
-fresh ``np.random.default_rng(child)`` gives, pin the one-pass INRM shot
-table to ``assemble_inrm`` over individually sampled configurations, and
-count spawns and seedings per sweep, including across two sweeps in one
+A sweep's row set derives each child seed of a scenario seed once, from
+(seed, index) as a ``SeedSequence`` spawn key, and caches the child's PCG64
+initial state; every later draw from that child restores the state into a
+shared generator.  These tests pin the spawn-key child to the one
+``SeedSequence(seed).spawn`` gives, pin the streams to those a fresh
+``np.random.default_rng(child)`` gives, pin the one-pass INRM shot table to
+``assemble_inrm`` over individually sampled configurations, and count
+children derived and seedings per sweep, including across two sweeps in one
 process, which must not share anything.
 """
 
@@ -39,6 +41,41 @@ from test_sweep_batch import D2_INRM_SHOTS
 def child_seed(seed: int, index: int) -> int:
     """The index-th child seed as a fresh SeedSequence spawns it."""
     return int(np.random.SeedSequence(seed).spawn(index + 1)[index].generate_state(1)[0])
+
+
+def spawned_state(seed: int, index: int) -> list[int]:
+    """``generate_state(1)`` of the index-th child ``SeedSequence(seed).spawn`` gives, spawning one at a time."""
+    root = np.random.SeedSequence(seed)
+    for _ in range(index):
+        root.spawn(1)
+    return root.spawn(1)[0].generate_state(1).tolist()
+
+
+SEEDS = [0, 2**31 - 1, 2**32, 2**64 + 5, 2**200 + 17]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("index", range(41))
+def test_spawn_key_child_is_the_spawned_child(seed, index):
+    got = np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(1).tolist()
+    assert got == spawned_state(seed, index)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_index_past_the_spawn_counter_does_not_wrap(seed):
+    # SeedSequence.spawn counts its children in 32 bits, so no spawn reaches index 2^32;
+    # the spawn key keeps that index apart from 0 and 2^32 - 1, and the row set draws from it
+    states = [np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1).tolist() for i in (0, 2**32 - 1, 2**32)]
+    assert states[2] not in states[:2]
+    child = int(np.random.SeedSequence(seed, spawn_key=(2**32,)).generate_state(1)[0])
+    got = _RowSet([]).generator(seed, 2**32).integers(2**63, size=4)
+    assert got.tolist() == np.random.default_rng(child).integers(2**63, size=4).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**256), index=st.integers(0, 40))
+def test_spawn_key_child_is_the_spawned_child_for_random_seeds(seed, index):
+    assert np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(1).tolist() == spawned_state(seed, index)
 
 
 pvals_strategy = st.lists(
@@ -115,13 +152,13 @@ def test_inrm_table_is_assembled_configurations(m, mode, shots):
 
 @pytest.fixture
 def counted_seeding(monkeypatch):
-    """Counts children spawned from every SeedSequence and every PCG64 seeded."""
+    """Counts child seeds derived (each SeedSequence built with a spawn key) and every PCG64 seeded."""
     counts = {"spawned": 0, "seeded": 0}
 
     class CountingSeedSequence(np.random.SeedSequence):
-        def spawn(self, n_children):
-            counts["spawned"] += n_children
-            return super().spawn(n_children)
+        def __init__(self, entropy=None, *, spawn_key=(), **kwargs):
+            counts["spawned"] += bool(spawn_key)
+            super().__init__(entropy, spawn_key=spawn_key, **kwargs)
 
     class CountingPCG64(np.random.PCG64):
         def __init__(self, seed=None):
