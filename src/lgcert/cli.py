@@ -265,55 +265,73 @@ def _parse_derive(data: Mapping[str, Any]) -> bool:
 _ABSENT = object()
 
 
+def _parse_dimension(data: Mapping[str, Any]) -> int:
+    dim = _integer("dimension", data.get("dimension", 2))
+    if dim < 2:
+        raise ScenarioError(f"dimension must be >= 2, got {dim}")
+    return dim
+
+
+def _parse_fields(data: Mapping[str, Any], dim: int, keys: set[str] | None) -> dict[str, Any]:
+    """The ``Scenario`` fields that the top-level ``keys`` of ``data`` set, in a full parse's order; ``None`` is all.
+
+    ``shots`` and ``protocol`` set the config and shots together.
+    """
+    fields: dict[str, Any] = {}
+    for name, parse, default in (
+        ("initial_state", _parse_state, "ground"),
+        ("hamiltonian", _parse_hamiltonian, {"preset": "precession"}),
+        ("observable", _parse_observable, "sigma_z"),
+    ):
+        if keys is None or name in keys:
+            spec = data.get(name, _ABSENT)
+            fields[name] = _field(name, parse, default if spec is _ABSENT else spec, dim)
+    if keys is None or "schedule" in keys:
+        fields["schedule"] = _parse_schedule(data)
+    if keys is None or "protocol" in keys or "shots" in keys:
+        fields["config"], fields["shots"] = _parse_protocol(data)
+    if keys is None or "checks" in keys:
+        fields["checks"] = _parse_checks(data)
+    if keys is None or "seed" in keys:
+        fields["seed"] = _parse_seed(data)
+    if keys is None or "derive_lower_moments" in keys:
+        fields["derive_lower_moments"] = _parse_derive(data)
+    return fields
+
+
 def scenario_from_dict(data: Mapping[str, Any], template: Scenario | None = None) -> Scenario:
     """Validate a scenario dict; every error names the offending field.
 
     ``template`` is a scenario parsed earlier from a dict that ``data`` was
-    derived from (a sweep row from its template).  Where ``data`` holds the
-    template's own raw object of a top-level field, or lacks it as the
-    template's dict did, the template's parsed value is reused: state,
-    Hamiltonian and observable at the same dimension (one eigendecomposition
-    per sweep); schedule, config and shots (``protocol`` with ``shots``),
-    checks, seed and moment source at any.  These parsed without error, so a
-    row's first error and its message are those of a template-free parse.
+    derived from (a sweep row from its template).  Only the top-level keys
+    whose objects differ from the template's dict, present in one and not
+    the other or not the same object, are parsed: a sweep row parses the
+    one field its path changed.  Every other field is the template's parsed
+    value: state, Hamiltonian and observable at the same dimension (one
+    eigendecomposition per sweep); schedule, config and shots (``protocol``
+    with ``shots``), checks, seed and moment source at any.  These parsed
+    without error, so a row's first error and its message are those of a
+    template-free parse.
     """
     if not isinstance(data, Mapping):
         raise ScenarioError("scenario must be a JSON object")
-    dim = _integer("dimension", data.get("dimension", 2))
-    if dim < 2:
-        raise ScenarioError(f"dimension must be >= 2, got {dim}")
-
-    def kept(*names: str) -> bool:
-        return template is not None and all(data.get(n, _ABSENT) is template.raw.get(n, _ABSENT) for n in names)
-
-    def parsed(name: str, parse, default):
-        if kept(name) and template.dimension == dim:
-            return getattr(template, name)
-        spec = data.get(name, _ABSENT)
-        return _field(name, parse, default if spec is _ABSENT else spec, dim)
-
-    state = parsed("initial_state", _parse_state, "ground")
-    h = parsed("hamiltonian", _parse_hamiltonian, {"preset": "precession"})
-    obs = parsed("observable", _parse_observable, "sigma_z")
-    schedule = template.schedule if kept("schedule") else _parse_schedule(data)
-    config, shots = (template.config, template.shots) if kept("protocol", "shots") else _parse_protocol(data)
-    checks = template.checks if kept("checks") else _parse_checks(data)
-    seed = template.seed if kept("seed") else _parse_seed(data)
-    derive = template.derive_lower_moments if kept("derive_lower_moments") else _parse_derive(data)
-
-    return Scenario(
-        dimension=dim,
-        initial_state=state,
-        hamiltonian=h,
-        observable=obs,
-        schedule=schedule,
-        config=config,
-        checks=checks,
-        shots=shots,
-        seed=seed,
-        derive_lower_moments=derive,
-        raw=dict(data),
-    )
+    raw = dict(data)
+    if template is None:
+        dim = _parse_dimension(raw)
+        return Scenario(dimension=dim, raw=raw, **_parse_fields(raw, dim, None))
+    old = template.raw
+    keys = {name for name, value in raw.items() if old.get(name, _ABSENT) is not value}
+    keys.update(old.keys() - raw.keys())
+    dim = template.dimension
+    if "dimension" in keys:
+        dim = _parse_dimension(raw)
+        if dim != template.dimension:
+            keys.update(("initial_state", "hamiltonian", "observable"))
+    fields = _parse_fields(raw, dim, keys)
+    # the template's fields with the parsed ones over them, as ``Scenario(...)`` would hold them
+    scenario = object.__new__(Scenario)
+    scenario.__dict__.update(template.__dict__, dimension=dim, raw=raw, **fields)
+    return scenario
 
 
 def _read_json(path: str | Path, what: str) -> Any:
@@ -428,8 +446,8 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 
     The template is parsed once: ``spec.scenario`` when ``load_sweep`` has
     parsed it already.  Each row copies only the dicts along the swept path
-    and parses only the top-level fields its value changed, reusing the
-    template's parsed value of every other (``scenario_from_dict``), so a
+    and parses only the one top-level field that path changed, taking every
+    other parsed field from the template (``scenario_from_dict``), so a
     sweep shares one eigendecomposition.  The rows are split into groups
     before any row runs: rows that differ only in schedule times or
     clumsiness strength and share their checks and moment source form one
@@ -474,16 +492,26 @@ def sweep_to_csv(rows: Sequence[dict]) -> str:
     """One row per swept value: value column, condition-id margin columns, error column.
 
     A value cell holding a comma or a quote (a list-valued sweep) is quoted,
-    with its quotes doubled; any other value is written as it stands.
+    with its quotes doubled; any other value is written as it stands.  The
+    margin columns are every row's condition ids in first-seen order.  A row
+    whose margins hold exactly these ids in this order, as every row of a
+    one-group sweep does, writes its margins as one join; any other row looks
+    each id up and leaves a cell empty where it has no margin.
     """
-    ids = list(dict.fromkeys(cid for row in rows for cid in row["margins"]))
+    seen: dict[str, Any] = {}
+    for row in rows:
+        seen.update(row["margins"])  # an id seen before keeps its place
+    ids = tuple(seen)
     lines = [",".join(["value"] + [f'"{c}"' for c in ids] + ["error"])]
     for row in rows:
         value = row["value"]
         cell = repr(float(value)) if isinstance(value, (int, float)) else str(value)
         cells = ['"' + cell.replace('"', '""') + '"' if "," in cell or '"' in cell else cell]
-        for cid in ids:
-            cells.append(repr(row["margins"][cid]) if cid in row["margins"] else "")
+        margins = row["margins"]
+        if ids and tuple(margins) == ids:
+            cells.append(",".join(map(repr, margins.values())))
+        else:
+            cells.extend(repr(margins[cid]) if cid in margins else "" for cid in ids)
         err = str(row["error"]).replace('"', "'")
         cells.append(f'"{err}"' if err else "")
         lines.append(",".join(cells))

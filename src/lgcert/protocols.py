@@ -363,13 +363,13 @@ class InrmPartial:
     shots: int | None = None
 
     def __post_init__(self):
-        couplings = tuple(int(c) for c in self.couplings)
+        couplings = _labels(self.couplings, "couplings")
         if any(c not in (1, -1) for c in couplings):
             raise ValidationError("couplings must be +1 or -1")
-        slots = tuple(tuple(int(v) for v in s) for s in self.slots)
+        slots = tuple(_labels(s, "slot") for s in self.slots)
         prefix = tuple(-c for c in couplings)
         expected = {prefix + (s,) for s in slots[-1]}
-        probs = {tuple(k): float(p) for k, p in dict(self.probabilities).items()}
+        probs = {_labels(k, "key"): _entry_value(k, p) for k, p in dict(self.probabilities).items()}
         if set(probs) != expected:
             raise ValidationError("partial table must cover exactly the surviving outcomes")
         object.__setattr__(self, "couplings", couplings)
@@ -470,11 +470,15 @@ def _walk(
     goes depth first through the trie of the paths, so every shared prefix
     is run once (``_advance``), all branches of all rows as one
     (R, B, d, d) stack; every distinct step's unitaries come from one
-    vectorised exp over the cached spectrum.  Rows of equal times (a
-    strength or seed sweep) share their unitaries: a stack stays one row
-    until a kick of per-row models widens it to R, and rows that also share
-    one model walk as one row throughout.  A node's stack is dropped once
-    its last child has read it, so about one root-to-leaf path is held.  An
+    vectorised exp over the cached spectrum.  Siblings that take the same
+    step share its conjugation of their parent's stack: they differ only in
+    mechanism, kick and read-out, so the first of them to run conjugates and
+    the rest read its result.  Rows of equal times (a strength or seed
+    sweep) share their unitaries: a stack stays one row until a kick of
+    per-row models widens it to R, and rows that also share one model walk
+    as one row throughout.  A parent's stack is dropped once each of its
+    steps has conjugated it, and a conjugated stack once the last sibling
+    sharing it has read it, so about one root-to-leaf path is held.  An
     experiment gets its outcome tuples in product order and the unclamped
     (R, N) traces of its leaf, a one-row leaf repeated R times, or the
     ``_Failure`` of its path's first node that raised.
@@ -495,22 +499,39 @@ def _walk(
     adjoints = unitaries.conj().swapaxes(-1, -2)
     # each step's (R, 1, d, d) unitary and adjoint, sliced once for all its nodes
     ops = {step: (unitaries[:, i, None], adjoints[:, i, None]) for i, step in enumerate(steps)}
-    # each pending node: its parent's stack, its depth, and the paths through it
-    pending: list[tuple[np.ndarray, int, list]] = []
+    # each pending node: the cell its siblings of one step share, its depth
+    # and the paths through it.  A cell is [stack, step, nodes left]: the
+    # parent's stack and the step until its first node conjugates, then the
+    # conjugated stack and None, and None for the stack once no node is left.
+    pending: list[tuple[list, int, list]] = []
 
     def branch(stack: np.ndarray, depth: int, group: list) -> None:
         children: dict[tuple, list] = {}
         for request, path in group:
             if len(path) > depth:
                 children.setdefault(path[depth][0], []).append((request, path))
-        pending.extend((stack, depth, child) for child in children.values())
+        cells: dict[tuple, list] = {}
+        for key, child in children.items():
+            cell = cells.get(key[0])
+            if cell is None:
+                cell = cells[key[0]] = [stack, key[0], 0]
+            cell[2] += 1
+            pending.append((cell, depth, child))
 
     branch(rho.matrix[None, None], 0, live)
     while pending:
-        stack, depth, group = pending.pop()
+        cell, depth, group = pending.pop()
         key, obs = group[0][1][depth]
+        stack = cell[0]  # and the last node's output, which its children hold, is let go
+        if cell[1] is not None:  # the cell's first node conjugates for all of them
+            unitary, adjoint = ops[cell[1]]
+            stack = cell[0] = unitary @ stack @ adjoint
+            cell[1] = None
+        cell[2] -= 1
+        if not cell[2]:
+            cell[0] = None
         try:
-            stack = _advance(stack, key, obs, *ops[key[0]], clumsiness)
+            stack = _advance(stack, key, obs, clumsiness)
         except ValidationError as exc:
             results.update(dict.fromkeys((request for request, _ in group), _Failure(exc)))
             continue
@@ -524,10 +545,9 @@ def _walk(
     return results
 
 
-def _advance(stack: np.ndarray, key: tuple, obs: Observable, unitary, adjoint, clumsiness) -> np.ndarray:
-    """One node of the walk: its parent's (R, B, d, d) ``stack`` conjugated, then its mechanism, kick and read-out."""
+def _advance(stack: np.ndarray, key: tuple, obs: Observable, clumsiness) -> np.ndarray:
+    """One node of the walk on its parent's (R, B, d, d) ``stack`` conjugated by its step: its mechanism, kick and read-out."""
     d = stack.shape[-1]
-    stack = unitary @ stack @ adjoint
     _, _, mechanism, clumsy, read = key
     if mechanism == _BLIND:
         stack = _blind_stack(stack.reshape(-1, d, d), obs).reshape(stack.shape)
@@ -791,20 +811,25 @@ class _RowSet:
     It also owns finite-shot seeding.  The child seed of a draw is derived
     from (scenario seed, draw index) directly, as that index's
     ``SeedSequence`` spawn key, and the row set keeps the initial state of
-    each child's PCG64 stream by (seed, index).  Rows that share a seed (all
-    rows of a sweep, unless the seed is swept) therefore derive and seed each
-    child once.  The groups and the cache live as long as the row set, which
-    is one library, ``run_certification`` or ``run_sweep`` call.
+    each child's PCG64 stream by (seed, index), for every seed that more than
+    one row draws from.  Rows that share a seed (all rows of a sweep, unless
+    the seed is swept) therefore derive and seed each child once; a seed
+    only one row draws from (a single certification's) is never restored,
+    so its states are not kept.  The groups and the cache live as long as
+    the row set, which is one library, ``run_certification`` or
+    ``run_sweep`` call.
     """
 
     def __init__(self, scenarios: Sequence[Scenario | str]):
         self.scenarios = list(scenarios)
         self._placed: list[tuple[_ColumnRunner, int] | None] = []
         open_groups: dict[tuple, _ColumnRunner] = {}
+        rows_per_seed: dict[int, int] = {}
         for s in self.scenarios:
             if isinstance(s, str):
                 self._placed.append(None)
                 continue
+            rows_per_seed[s.seed] = rows_per_seed.get(s.seed, 0) + 1
             key = (_batch_signature(s), s.checks, s.derive_lower_moments)
             group = open_groups.get(key)
             if group is None or (len(group.scenarios) + 1) * group.entries > _BATCH_ENTRIES:
@@ -813,6 +838,7 @@ class _RowSet:
                 group.scenarios.append(s)
             self._placed.append((group, len(group.scenarios) - 1))
         self._states: dict[tuple[int, int], dict] = {}
+        self._lone_seeds = {seed for seed, count in rows_per_seed.items() if count == 1}
         self._rng: np.random.Generator | None = None
 
     def group(self, row: int) -> tuple[_ColumnRunner, int]:
@@ -835,7 +861,8 @@ class _RowSet:
         if state is None:
             child = int(np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(1)[0])
             bits = np.random.PCG64(child)
-            self._states[seed, index] = bits.state
+            if seed not in self._lone_seeds:
+                self._states[seed, index] = bits.state
             rng = np.random.Generator(bits)
             if self._rng is None:
                 self._rng = rng
@@ -976,9 +1003,14 @@ def _table_errors(outcomes: Sequence[tuple[int, ...]], values: np.ndarray, exact
         errors[i] = _entry_error(outcomes[j], float(values[i, j]))
     if not exact:
         return errors
-    for i, total in enumerate(_row_sums(values)):
+    # Entries in range that sum to about 1 have numpy's sum and the builtin
+    # one within 2n ulp of each other, so a row whose numpy sum is twice
+    # that far inside the tolerance passes the builtin check unsummed.
+    n = values.shape[1]
+    cleared = np.abs(values.sum(axis=1) - 1.0) <= NORMALIZATION_TOL - 4 * n * 2.0**-52
+    for i in np.flatnonzero(~cleared).tolist():
         if errors[i] is None:
-            errors[i] = _sum_error(total)
+            errors[i] = _sum_error(sum(values[i].tolist()))
     return errors
 
 
@@ -1062,15 +1094,16 @@ def _sample_columns(
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = pvals / totals[..., None]
     counts = np.zeros(pvals.shape, dtype=np.int64)
-    for i in range(rows):
-        for b in range(pvals.shape[1]):
-            if errors[i] is not None:
-                break
+    shots = config.shots
+    for i, (row_totals, row_weights, row_counts) in enumerate(zip(totals.tolist(), weights, counts)):
+        if errors[i] is not None:
+            continue
+        for b, total in enumerate(row_totals):
             rng = generator(i)
-            if totals[i, b] <= 0:
+            if total <= 0:
                 errors[i] = _NO_MASS
                 break
-            counts[i, b] = rng.multinomial(config.shots, weights[i, b])
+            row_counts[b] = rng.multinomial(shots, row_weights[b])
     freqs = (counts / config.shots)[..., :width].reshape(rows, n)
     return _TableColumns(table.slots, [table.outcomes[j] for j in order], freqs, config.shots)
 

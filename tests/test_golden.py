@@ -15,7 +15,7 @@ run over three times at 10^4 shots with LG2, LG3, NONNEG3 and NSIT3, whose
 moments all come from marginals of one sampled three-time table (exit 0).
 The d=2 ancilla case matters: there
 the ancilla circuit and plain dephasing differ in the last bit, so routing
-the blind mode through ``dephase`` changes its report.  The six sweeps are:
+the blind mode through ``dephase`` changes its report.  The seven sweeps are:
 
 * a d=2 ``inrm`` gap sweep at 1000 shots with one negative gap that must
   come back as an error row;
@@ -29,7 +29,11 @@ the blind mode through ``dephase`` changes its report.  The six sweeps are:
   string strength ``"0.4"`` must come back as an error row;
 * ``d4_seed_sweep_inrm_dephased_shots``: a d=4 ``inrm_dephased`` seed sweep
   at 10^4 shots with depolarizing clumsiness and all nine checks, where the
-  negative seed must come back as an error row.
+  negative seed must come back as an error row;
+* ``checks_sweep``: the README precession (four times) swept over its
+  ``checks`` list, so its rows differ in their margin columns and the CSV
+  writer looks ids up row by row; the unknown check ``BOGUS`` must come
+  back as an error row.
 
 Their rows run as batches, so these pin the batched rows to the bytes that
 rows run one at a time produced.  Two cases pin the other JSON outputs: the

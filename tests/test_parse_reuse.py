@@ -89,6 +89,26 @@ def test_a_row_that_keeps_every_field_runs_no_parser(template, monkeypatch):
     assert calls == ["_parse_seed"]
 
 
+PARSERS = {"initial_state": "_parse_state", "hamiltonian": "_parse_hamiltonian", "observable": "_parse_observable",
+           "schedule": "_parse_schedule", "protocol": "_parse_protocol", "shots": "_parse_protocol",
+           "checks": "_parse_checks", "seed": "_parse_seed", "derive_lower_moments": "_parse_derive"}
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_a_row_runs_only_the_parser_of_its_field(name, template, monkeypatch):
+    calls = []
+    for parser in set(PARSERS.values()) | {"_parse_dimension"}:
+        parse = getattr(cli, parser)
+        monkeypatch.setattr(cli, parser, lambda *args, parse=parse, parser=parser: calls.append(parser) or parse(*args))
+    _, value, invalid = FIELDS[name]
+    scenario_from_dict(_row_data(TEMPLATE, name, value), template)
+    assert calls == [PARSERS[name]]
+    calls.clear()
+    with pytest.raises(ValidationError):
+        scenario_from_dict(_row_data(TEMPLATE, name, invalid[0]), template)
+    assert calls == [PARSERS[name]]
+
+
 def test_a_row_of_another_dimension_parses_its_state_hamiltonian_and_observable_again(template):
     data = dict(TEMPLATE, dimension=3, initial_state="ground", hamiltonian=[[[0.0, 0.0]] * 3] * 3)
     with pytest.raises(ValidationError, match="observable: preset 'sigma_z' requires dimension 2"):

@@ -5,6 +5,9 @@
 with a message naming the label and its slot or key.  ``table_from_json``
 wraps the same message as a malformed payload, and ``table_from_csv``
 names the cell and its row, for an outcome cell and for a probability cell.
+``InrmPartial(...)`` reads its couplings, slots and keys through ``_labels``
+too, and its entries through ``_entry_value``: a bool coupling or a string
+entry is rejected, not read as ``1`` or as a float.
 Experiment and moment names (``protocols._times_name``) are memoised; they
 must give the text of the unmemoised function.
 """
@@ -14,7 +17,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lgcert.protocols import OutcomeTable, ValidationError, _times_name, table_from_csv, table_from_json
+from lgcert.protocols import (
+    InrmPartial,
+    OutcomeTable,
+    ValidationError,
+    _times_name,
+    table_from_csv,
+    table_from_json,
+)
 
 SLOTS = ((1, -1),)
 
@@ -68,3 +78,29 @@ def test_csv_names_the_bad_cell(text, message):
 def test_times_name_text(times, text):
     assert _times_name(times) == _times_name.__wrapped__(times) == text
     assert _times_name.cache_info().maxsize is not None
+
+
+PARTIAL_SLOTS = ((1, -1), (1, -1))
+SURVIVORS = {(-1, 1): 0.3, (-1, -1): 0.2}
+
+
+@pytest.mark.parametrize("slots, couplings, probs, message", [
+    (PARTIAL_SLOTS, ("x",), SURVIVORS, "outcome label 'x' in couplings ('x',) is not an integer"),
+    (PARTIAL_SLOTS, (True,), SURVIVORS, "outcome label True in couplings (True,) is not an integer"),
+    (PARTIAL_SLOTS, (None,), SURVIVORS, "outcome label None in couplings (None,) is not an integer"),
+    (PARTIAL_SLOTS, 1, SURVIVORS, "couplings 1 is not a sequence of outcome labels"),
+    (((1, -1), ("a", -1)), (1,), SURVIVORS, "outcome label 'a' in slot ('a', -1) is not an integer"),
+    (PARTIAL_SLOTS, (1,), {(-1, 1): 0.3, (-1, False): 0.2}, "outcome label False in key (-1, False) is not an integer"),
+    (PARTIAL_SLOTS, (1,), {(-1, 1): "0.3", (-1, -1): 0.2}, "probability for (-1, 1) must be a number, got '0.3'"),
+    (PARTIAL_SLOTS, (1,), {(-1, 1): 0.3, (-1, -1): True}, "probability for (-1, -1) must be a number, got True"),
+])
+def test_inrm_partial_rejects_labels_couplings_and_entries_it_cannot_read(slots, couplings, probs, message):
+    assert raised(lambda: InrmPartial(slots, couplings, probs, 0.5)) == message
+
+
+def test_inrm_partial_still_reads_integer_labels_and_real_entries():
+    partial = InrmPartial(((1, -1), (np.int64(1), "-1")), [np.int64(1)], {(-1, 1): np.float64(0.3), ("-1", -1): 0.2}, 0.5)
+    assert partial.couplings == (1,) and partial.slots == PARTIAL_SLOTS
+    assert partial.probabilities == SURVIVORS
+    assert all(type(v) is int for key in partial.probabilities for v in key)
+    assert all(type(p) is float for p in partial.probabilities.values())

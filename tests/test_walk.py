@@ -10,7 +10,11 @@ seeded grid of dimensions, schedule lengths, modes and clumsiness channels,
 with many-valued observables and explicit mechanism times, at one row and
 at seven.  They pin the conjugation steps and step-matrices the walk saves
 on the golden certifications, one ``unitary_for`` call per certification,
-and the walk's peak memory against the per-experiment kernel's.  Rows of
+and the walk's peak memory against the per-experiment kernel's.  Siblings
+that take the same step share one conjugation of their parent's stack, so
+a walk conjugates once per distinct (parent, step) pair of its trie: this
+is checked on the golden certifications and on the benchmark's
+certify-exact inputs of seed 1 (468 conjugations for 780 nodes).  Rows of
 equal times (strength and seed sweeps) walk as one row until a kick of
 differing models widens the stack: seven such rows must equal the reference
 in every mode and clumsiness channel, and the matrices they save are pinned.
@@ -19,6 +23,7 @@ in every mode and clumsiness channel, and the matrices they save are pinned.
 from __future__ import annotations
 
 import gc
+import importlib.util
 import json
 import tracemalloc
 from pathlib import Path
@@ -37,6 +42,7 @@ from lgcert.qcore import ValidationError, matrix_to_json
 from conftest import random_hermitian
 from test_sweep_batch import SWEEPS, many_valued_template, random_template
 
+ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 
 # Per golden certification: the walk's conjugation steps and step-matrices
@@ -338,3 +344,64 @@ def test_rows_of_equal_times_share_their_nodes(name, monkeypatch):
     spec, expected = MATRICES[name]
     cli.run_sweep(spec)
     assert (sum(rows * b for rows, _, b in widths), sum(r * b for _, r, b in widths)) == expected
+
+
+def walk_counts(run, monkeypatch) -> list[tuple[int, int, int, int]]:
+    """Per walk of ``run()``: its nodes and conjugations, then the trie nodes and the distinct (parent, step) pairs of its paths."""
+    found: list[list] = []
+    walk, advance = protocols._walk, protocols._advance
+
+    def recorded_walk(rho, h, times, clumsiness, paths):
+        found.append([paths, []])
+        return walk(rho, h, times, clumsiness, paths)
+
+    def recorded_advance(stack, *args):
+        found[-1][1].append(stack)  # kept alive, so that distinct stacks have distinct ids
+        return advance(stack, *args)
+
+    monkeypatch.setattr(protocols, "_walk", recorded_walk)
+    monkeypatch.setattr(protocols, "_advance", recorded_advance)
+    run()
+    counts = []
+    for paths, stacks in found:
+        keys = [[key for key, _ in path] for path in paths.values() if not isinstance(path, _Failure)]
+        nodes = {tuple(path[: k + 1]) for path in keys for k in range(len(path))}
+        pairs = {(tuple(path[:k]), path[k][0]) for path in keys for k in range(len(path))}
+        counts.append((len(stacks), len({id(stack) for stack in stacks}), len(nodes), len(pairs)))
+    return counts
+
+
+def benchmark_scenarios(workload: str, seed: int, tmp_path) -> list[Path]:
+    """The scenario files the benchmark's generator writes for ``workload`` at ``seed``."""
+    spec = importlib.util.spec_from_file_location("perfbench_generate", ROOT / "perfbench" / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    return [inp["path"] for inp in generate.generate(workload, seed, tmp_path)]
+
+
+# Per golden certification: the nodes of its walks, then their conjugations.
+CONJUGATIONS = {
+    "readme_precession": (22, 15),
+    "d2_ancilla_blind": (37, 20),
+    "d4_ancilla_blind": (37, 20),
+    "d4_unitary_kick": (37, 20),
+    "d16_inrm": (30, 19),
+    "d4_inrm_dephased_shots": (33, 22),
+}
+
+
+@pytest.mark.parametrize("name", CONJUGATIONS)
+def test_siblings_of_one_step_share_their_conjugation(name, monkeypatch):
+    scenario = load_scenario(GOLDEN / f"{name}.json")
+    counts = walk_counts(lambda: run_certification(scenario), monkeypatch)
+    for advanced, conjugated, nodes, pairs in counts:
+        assert (advanced, conjugated) == (nodes, pairs)
+    assert tuple(map(sum, zip(*counts)))[:2] == CONJUGATIONS[name]
+
+
+def test_benchmark_certifications_conjugate_once_per_parent_and_step(tmp_path, monkeypatch):
+    paths = benchmark_scenarios("certify-exact", 1, tmp_path)
+    counts = walk_counts(lambda: [run_certification(load_scenario(p)) for p in paths], monkeypatch)
+    for advanced, conjugated, nodes, pairs in counts:
+        assert (advanced, conjugated) == (nodes, pairs)
+    assert tuple(map(sum, zip(*counts)))[:2] == (780, 468)
