@@ -208,10 +208,15 @@ def _parse_clumsiness(spec) -> ClumsinessModel:
     raise ScenarioError(f"protocol.clumsiness: unknown kind {kind!r}")
 
 
+def _schedule(values) -> Schedule:
+    """The schedule of ``values``, each time read once by ``_number``."""
+    return Schedule._checked(tuple([_number("schedule", t) for t in values]))
+
+
 def _parse_schedule(data: Mapping[str, Any]) -> Schedule:
     if "schedule" not in data:
         raise ScenarioError("schedule: missing")
-    return _field("schedule", lambda: Schedule(tuple(_number("schedule", t) for t in data["schedule"])))
+    return _field("schedule", _schedule, data["schedule"])
 
 
 def _parse_protocol(data: Mapping[str, Any]) -> tuple[ProtocolConfig, int]:
@@ -491,12 +496,14 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 def sweep_to_csv(rows: Sequence[dict]) -> str:
     """One row per swept value: value column, condition-id margin columns, error column.
 
-    A value cell holding a comma or a quote (a list-valued sweep) is quoted,
-    with its quotes doubled; any other value is written as it stands.  The
-    margin columns are every row's condition ids in first-seen order.  A row
-    whose margins hold exactly these ids in this order, as every row of a
-    one-group sweep does, writes its margins as one join; any other row looks
-    each id up and leaves a cell empty where it has no margin.
+    A number value is written as a float and a bool as ``false`` or
+    ``true``, as JSON writes it.  A value cell holding a comma or a quote (a
+    list-valued sweep) is quoted, with its quotes doubled; any other value
+    is written as it stands.  The margin columns are every row's condition
+    ids in first-seen order.  A row whose margins hold exactly these ids in
+    this order, as every row of a one-group sweep does, writes its margins
+    as one join; any other row looks each id up and leaves a cell empty
+    where it has no margin.
     """
     seen: dict[str, Any] = {}
     for row in rows:
@@ -505,7 +512,12 @@ def sweep_to_csv(rows: Sequence[dict]) -> str:
     lines = [",".join(["value"] + [f'"{c}"' for c in ids] + ["error"])]
     for row in rows:
         value = row["value"]
-        cell = repr(float(value)) if isinstance(value, (int, float)) else str(value)
+        if isinstance(value, bool):
+            cell = "true" if value else "false"
+        elif isinstance(value, (int, float)):
+            cell = repr(float(value))
+        else:
+            cell = str(value)
         cells = ['"' + cell.replace('"', '""') + '"' if "," in cell or '"' in cell else cell]
         margins = row["margins"]
         if ids and tuple(margins) == ids:

@@ -50,7 +50,9 @@ from .qcore import (
     ManyValuedObservable,
     Observable,
     ValidationError,
+    _projections,
     _require_same_dim,
+    _tall_product,
     dephase_matrix,
     evolve_matrix,
     unitary_for,
@@ -90,6 +92,19 @@ NORMALIZATION_TOL = 1e-10
 ENTRY_TOL = 1e-12
 
 
+def _check_times(times: tuple[float, ...]) -> None:
+    """Raise the ``ValidationError`` naming the first way ``times`` fails to be a schedule."""
+    if len(times) < 1:
+        raise ValidationError("schedule must contain at least one time")
+    if not all(map(math.isfinite, times)):
+        raise ValidationError("schedule times must be finite")
+    if times[0] <= 0.0:
+        raise ValidationError(f"schedule times must be > 0, got t1 = {times[0]}")
+    for a, b in zip(times, times[1:]):
+        if not a < b:
+            raise ValidationError(f"schedule times must be strictly increasing, got {a} then {b}")
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Strictly increasing measurement times, all positive."""
@@ -98,16 +113,16 @@ class Schedule:
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
-        if len(times) < 1:
-            raise ValidationError("schedule must contain at least one time")
-        if not all(map(math.isfinite, times)):
-            raise ValidationError("schedule times must be finite")
-        if times[0] <= 0.0:
-            raise ValidationError(f"schedule times must be > 0, got t1 = {times[0]}")
-        for a, b in zip(times, times[1:]):
-            if not a < b:
-                raise ValidationError(f"schedule times must be strictly increasing, got {a} then {b}")
+        _check_times(times)
         object.__setattr__(self, "times", times)
+
+    @classmethod
+    def _checked(cls, times: tuple[float, ...]) -> "Schedule":
+        """The schedule of ``times``, a tuple of floats already: the constructor's checks, not its conversion."""
+        _check_times(times)
+        schedule = object.__new__(cls)
+        object.__setattr__(schedule, "times", times)
+        return schedule
 
     def __len__(self) -> int:
         return len(self.times)
@@ -476,12 +491,20 @@ def _walk(
     the rest read its result.  Rows of equal times (a strength or seed
     sweep) share their unitaries: a stack stays one row until a kick of
     per-row models widens it to R, and rows that also share one model walk
-    as one row throughout.  A parent's stack is dropped once each of its
-    steps has conjugated it, and a conjugated stack once the last sibling
-    sharing it has read it, so about one root-to-leaf path is held.  An
-    experiment gets its outcome tuples in product order and the unclamped
-    (R, N) traces of its leaf, a one-row leaf repeated R times, or the
-    ``_Failure`` of its path's first node that raised.
+    as one row throughout.  Rows that share one model, whatever their
+    times, are kicked by that model alone, and a kick's arrays are built
+    once for all its nodes (``_kick``).  A parent's stack is dropped
+    once each of its steps has conjugated it, and a conjugated stack once
+    the last sibling sharing it has read it, so about one root-to-leaf path
+    is held.  A conjugation U m U^dag is one product per matrix for U m,
+    then one tall product per row for (U m) U^dag (``_tall_product``),
+    which equals the per-matrix products bit for bit; a wide product for
+    U m would not.  Read-outs lay their branches out outcome-major
+    (``_advance``), so a leaf's traces are put back in product order by one
+    cached column permutation (``_leaf_order``).  An experiment gets its
+    outcome tuples in product order and the unclamped (R, N) traces of its
+    leaf, a one-row leaf repeated R times, or the ``_Failure`` of its path's
+    first node that raised.
     """
     results = {request: path for request, path in paths.items() if isinstance(path, _Failure)}
     live = [(request, path) for request, path in paths.items() if not isinstance(path, _Failure)]
@@ -491,14 +514,16 @@ def _walk(
     d, rows = rho.dim, len(times)
     t = np.asarray(times, dtype=float)
     if (t == t[0]).all():
-        t, model = t[:1], clumsiness[0]
-        if all(c is model or _model_key(c) == _model_key(model) for c in clumsiness):
-            clumsiness = clumsiness[:1]
+        t = t[:1]
+    model = clumsiness[0]
+    if all(c is model or _model_key(c) == _model_key(model) for c in clumsiness):
+        clumsiness = clumsiness[:1]
+    kick = _kick(clumsiness, d)
     step_times = np.stack([t[:, b - 1] - t[:, a - 1] if a else t[:, b - 1] for a, b in steps], axis=1)
     unitaries = unitary_for(h, step_times.ravel()).reshape(*step_times.shape, d, d)
     adjoints = unitaries.conj().swapaxes(-1, -2)
-    # each step's (R, 1, d, d) unitary and adjoint, sliced once for all its nodes
-    ops = {step: (unitaries[:, i, None], adjoints[:, i, None]) for i, step in enumerate(steps)}
+    # each step's (R, 1, d, d) unitary and (R, d, d) adjoint, sliced once for all its nodes
+    ops = {step: (unitaries[:, i, None], adjoints[:, i]) for i, step in enumerate(steps)}
     # each pending node: the cell its siblings of one step share, its depth
     # and the paths through it.  A cell is [stack, step, nodes left]: the
     # parent's stack and the step until its first node conjugates, then the
@@ -525,28 +550,40 @@ def _walk(
         stack = cell[0]  # and the last node's output, which its children hold, is let go
         if cell[1] is not None:  # the cell's first node conjugates for all of them
             unitary, adjoint = ops[cell[1]]
-            stack = cell[0] = unitary @ stack @ adjoint
+            stack = cell[0] = _tall_product(unitary @ stack, adjoint)
             cell[1] = None
         cell[2] -= 1
         if not cell[2]:
             cell[0] = None
         try:
-            stack = _advance(stack, key, obs, clumsiness)
+            stack = _advance(stack, key, obs, kick)
         except ValidationError as exc:
             results.update(dict.fromkeys((request for request, _ in group), _Failure(exc)))
             continue
         ended = [(request, path) for request, path in group if len(path) == depth + 1]
         if ended:
-            outcomes = list(itertools.product(*(o.outcomes for k, o in ended[0][1] if k[-1])))
-            traces = np.trace(stack, axis1=2, axis2=3).real
+            outcomes, order = _leaf_order(tuple(o.outcomes for k, o in ended[0][1] if k[-1]))
+            traces = stack.trace(axis1=2, axis2=3).real
+            traces = traces if order is None else traces.take(order, axis=1)
             traces = traces if len(traces) == rows else np.repeat(traces, rows, axis=0)
-            results.update(dict.fromkeys((r for r, _ in ended), (outcomes, traces)))
+            results.update(dict.fromkeys((r for r, _ in ended), (list(outcomes), traces)))
         branch(stack, depth + 1, group)
     return results
 
 
-def _advance(stack: np.ndarray, key: tuple, obs: Observable, clumsiness) -> np.ndarray:
-    """One node of the walk on its parent's (R, B, d, d) ``stack`` conjugated by its step: its mechanism, kick and read-out."""
+def _advance(stack: np.ndarray, key: tuple, obs: Observable, kick: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """One node of the walk on its parent's (R, B, d, d) ``stack`` conjugated by its step: its mechanism, ``kick`` and read-out.
+
+    Products by a shared right-hand matrix are tall, one BLAS call per
+    right-hand matrix and row: (P_s m) P_s in the dephasing and a read-out
+    (``_projections``) and (K m) K^dag in a kick (``_tall_product``).  The
+    left-hand products stay one per matrix, because a wide (d, B d) product
+    differs from them in the last bit at d = 2 and 3.  A read-out over K
+    outcomes lays its branches out outcome-major, as the (R, K, B, d, d)
+    stack of ``_projections``, so that each (row, outcome) block of B
+    matrices is contiguous for its tall product without a copy; the walk's
+    leaves restore product order (``_leaf_order``).
+    """
     d = stack.shape[-1]
     _, _, mechanism, clumsy, read = key
     if mechanism == _BLIND:
@@ -554,14 +591,27 @@ def _advance(stack: np.ndarray, key: tuple, obs: Observable, clumsiness) -> np.n
     elif mechanism == _DEPHASE:
         stack = dephase_matrix(stack, obs)
     if clumsy:
-        stack = _clumsy_stack(stack, clumsiness)
+        stack = kick(stack)
     if read:
-        projs = obs.projector_stack
-        branched = projs @ stack[:, :, None]
-        if read == _READ:
-            branched = branched @ projs
-        stack = branched.reshape(len(stack), -1, d, d)
+        stack = _projections(stack, obs, read == _READ).reshape(len(stack), -1, d, d)
     return stack
+
+
+@functools.lru_cache(maxsize=256)
+def _leaf_order(read: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], ...], np.ndarray | None]:
+    """A leaf's outcome tuples, after read-outs of the outcomes ``read``, and the columns that put its branches in their order.
+
+    The tuples are in product order.  ``_advance`` lays each read-out's
+    outcomes out as the most significant digit of the branch index, the
+    reverse of product order; after one read-out the branches are in order
+    already, and the columns are ``None``.
+    """
+    outcomes = tuple(itertools.product(*read))
+    if len(read) == 1:
+        return outcomes, None
+    order = np.arange(len(outcomes)).reshape([len(o) for o in reversed(read)]).T.ravel()
+    order.flags.writeable = False
+    return outcomes, order
 
 
 def _leaf(rho: DensityOperator, h: Hamiltonian, times, clumsiness, path: list) -> tuple[list, np.ndarray]:
@@ -586,16 +636,35 @@ def _clumsy_stack(stack: np.ndarray, clumsiness: Sequence[ClumsinessModel]) -> n
     sign of a zero, which the product with the identity drops), and kicks
     conjugate each row's branches with that row's unitary.
     """
-    d = stack.shape[-1]
+    return _kick(clumsiness, stack.shape[-1])(stack)
+
+
+def _kick(clumsiness: Sequence[ClumsinessModel], d: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``_clumsy_stack`` of ``clumsiness`` on (R, B, d, d) stacks, its per-row arrays built once for every node of a walk.
+
+    A kick whose generator is not d x d raises when it is applied, so the
+    error belongs to the experiments below that node.
+    """
     if clumsiness[0].kind == "unitary_kick":
         # the rows of a batch share their generators' shape (``_batch_signature``)
-        _require_same_dim(d, clumsiness[0].generator.shape[0], "apply_clumsiness")
-        kicks = np.array([c.kick_unitary for c in clumsiness])[:, None]
-        return kicks @ stack @ kicks.conj().swapaxes(-1, -2)
+        size = clumsiness[0].generator.shape[0]
+        if size != d:
+            def mismatched(stack: np.ndarray) -> np.ndarray:
+                _require_same_dim(d, size, "apply_clumsiness")
+            return mismatched
+        kicks = np.array([c.kick_unitary for c in clumsiness])
+        left, right = kicks[:, None], kicks.conj().swapaxes(-1, -2)
+        return lambda stack: _tall_product(left @ stack, right)
     eps = np.array([c.strength for c in clumsiness])[:, None]
-    # eps * (Tr m / d) on the interleaved real and imaginary parts of the (R, B) traces
-    mixed = (eps * (np.trace(stack, axis1=2, axis2=3).view(float) / d)).view(complex)
-    return (1.0 - eps)[..., None, None] * stack + mixed[..., None, None] * np.eye(d)
+    kept = (1.0 - eps)[..., None, None]
+    eye = np.eye(d)
+
+    def depolarize(stack: np.ndarray) -> np.ndarray:
+        # eps * (Tr m / d) on the interleaved real and imaginary parts of the (R, B) traces
+        mixed = (eps * (stack.trace(axis1=2, axis2=3).view(float) / d)).view(complex)
+        return kept * stack + mixed[..., None, None] * eye
+
+    return depolarize
 
 
 def _clean_probs(raw: dict[tuple[int, ...], float]) -> dict[tuple[int, ...], float]:
@@ -774,6 +843,10 @@ def _batch_signature(s: Scenario) -> tuple:
 _BATCH_ENTRIES = 1 << 20
 
 
+# the model of every clean experiment's config, built once rather than per experiment
+_NO_CLUMSINESS = ClumsinessModel.none()
+
+
 def _experiment_config(
     s: Scenario, measured: tuple[int, ...], mechanism: tuple[int, ...], clean: bool
 ) -> ProtocolConfig:
@@ -786,7 +859,7 @@ def _experiment_config(
     mode = s.config.mode
     if s.config.uses_detectors and (len(measured) < 2 or not set(mechanism) <= set(measured)):
         mode = "projective" if mode == "inrm" else "projective_dephased"
-    clumsiness = ClumsinessModel.none() if clean else s.config.clumsiness
+    clumsiness = _NO_CLUMSINESS if clean else s.config.clumsiness
     config = ProtocolConfig(mode=mode, dephase_times=mechanism, clumsiness=clumsiness, shots=s.shots)
     if config.uses_detectors and not isinstance(s.observable, DichotomicObservable):
         raise ScenarioError("protocol: INRM modes require a dichotomic observable")

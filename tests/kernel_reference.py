@@ -7,6 +7,12 @@ initial state.  ``tests/test_walk.py`` checks that every leaf of the walk
 equals this kernel's output bit for bit, and that the walk holds little
 more memory than this kernel run over the same experiments.
 
+Every product here is one product of d x d matrices, as numpy's stacked
+``matmul`` makes it: the unitaries, the dephasing, the kick and the
+read-out projections.  The walk computes the right-hand factors of these
+products as tall products instead (one per right-hand matrix), so this
+module is the check that they did not change a bit.
+
 ``STEPS``, when a list, receives the branch count B of the (R, B, d, d)
 stack at every conjugation, so a test can count steps and step-matrices.
 
@@ -40,11 +46,36 @@ from lgcert.qcore import (
     Hamiltonian,
     Observable,
     ValidationError,
-    dephase_matrix,
-    unitary_for,
 )
 
 STEPS: list[int] | None = None
+
+
+def unitaries_for(h: Hamiltonian, t: np.ndarray) -> np.ndarray:
+    """exp(-i H t) for a 1-D array of times, one d x d product per time."""
+    eigvals, eigvecs = h.spectrum
+    phases = np.exp(-1j * eigvals * t[..., None])
+    return (eigvecs * phases[..., None, :]) @ eigvecs.conj().T
+
+
+def dephased(stack: np.ndarray, obs: Observable) -> np.ndarray:
+    """Sum_s P_s m P_s on every matrix of an (R, B, d, d) stack."""
+    out = np.zeros_like(stack)
+    for p in obs.projector_stack:
+        out += p @ stack @ p
+    return out
+
+
+def kicked(stack: np.ndarray, clumsiness: Sequence[ClumsinessModel]) -> np.ndarray:
+    """The clumsiness channel on every matrix of an (R, B, d, d) stack, row i with ``clumsiness[i]``.
+
+    Depolarizing noise and a kick whose generator does not fit (which
+    raises) are the walk's own ``_clumsy_stack``.
+    """
+    if clumsiness[0].kind != "unitary_kick" or stack.shape[-1] != clumsiness[0].generator.shape[0]:
+        return _clumsy_stack(stack, clumsiness)
+    kicks = np.array([c.kick_unitary for c in clumsiness])[:, None]
+    return kicks @ stack @ kicks.conj().swapaxes(-1, -2)
 
 
 def propagate(
@@ -86,7 +117,7 @@ def propagate(
     times = np.asarray(times, dtype=float)[:, :last_relevant]
     steps = times.copy()
     steps[:, 1:] -= times[:, :-1]
-    unitaries = unitary_for(h, steps.ravel()).reshape(*steps.shape, d, d)
+    unitaries = unitaries_for(h, steps.ravel()).reshape(*steps.shape, d, d)
     adjoints = unitaries.conj().swapaxes(-1, -2)
 
     outcomes: list[tuple[int, ...]] = [()]
@@ -100,9 +131,9 @@ def propagate(
             if via_ancilla:
                 stack = _blind_stack(stack.reshape(-1, d, d), obs).reshape(stack.shape)
             else:
-                stack = dephase_matrix(stack, obs)
+                stack = dephased(stack, obs)
         if k == clumsy_at:
-            stack = _clumsy_stack(stack, clumsiness)
+            stack = kicked(stack, clumsiness)
         if k in measured:
             projs = obs.projector_stack
             branched = projs @ stack[:, :, None]

@@ -15,7 +15,7 @@ run over three times at 10^4 shots with LG2, LG3, NONNEG3 and NSIT3, whose
 moments all come from marginals of one sampled three-time table (exit 0).
 The d=2 ancilla case matters: there
 the ancilla circuit and plain dephasing differ in the last bit, so routing
-the blind mode through ``dephase`` changes its report.  The seven sweeps are:
+the blind mode through ``dephase`` changes its report.  The eight sweeps are:
 
 * a d=2 ``inrm`` gap sweep at 1000 shots with one negative gap that must
   come back as an error row;
@@ -33,13 +33,17 @@ the blind mode through ``dephase`` changes its report.  The seven sweeps are:
 * ``checks_sweep``: the README precession (four times) swept over its
   ``checks`` list, so its rows differ in their margin columns and the CSV
   writer looks ids up row by row; the unknown check ``BOGUS`` must come
-  back as an error row.
+  back as an error row;
+* ``d4_derive_sweep_shots``: the ``d4_inrm_dephased_derived_shots``
+  scenario swept over ``derive_lower_moments`` ``[false, true]``, whose
+  bool values the CSV writes as ``false`` and ``true``, as JSON does (exit 0).
 
 Their rows run as batches, so these pin the batched rows to the bytes that
-rows run one at a time produced.  Two cases pin the other JSON outputs: the
-``oracle`` payload of the d=4 ``inrm_dephased`` scenario at 10^4 shots, and
-the kick-strength sweep written with ``--format json``.  A case's optional
-``args`` list is passed after its input.
+rows run one at a time produced.  Three cases pin the other JSON outputs:
+the ``oracle`` payload of the d=4 ``inrm_dephased`` scenario at 10^4 shots,
+and the kick-strength and ``derive_lower_moments`` sweeps written with
+``--format json``.  A case's optional ``args`` list is passed after its
+input.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Malformed scenario and sweep inputs: list-valued sweep cells, option types, gap templates."""
+"""Malformed scenario and sweep inputs: list-valued sweep cells, option types, gap templates, schedules."""
 
 from __future__ import annotations
 
@@ -9,7 +9,18 @@ import json
 import numpy as np
 import pytest
 
-from lgcert.cli import ScenarioError, SweepSpec, main, run_sweep, scenario_from_dict, sweep_to_csv
+from lgcert.cli import (
+    ScenarioError,
+    SweepSpec,
+    _field,
+    _number,
+    _parse_schedule,
+    main,
+    run_sweep,
+    scenario_from_dict,
+    sweep_to_csv,
+)
+from lgcert.protocols import Schedule
 from lgcert.qcore import matrix_to_json
 
 
@@ -208,6 +219,27 @@ def test_numbers_of_either_type_are_accepted():
     assert scenario.config.clumsiness.strength == 0.0 and scenario.checks == ("LG3",)
     assert np.array_equal(scenario.hamiltonian.matrix, scenario_from_dict(
         lg3_scenario(hamiltonian={"preset": "precession", "frequency": 2.0})).hamiltonian.matrix)
+
+
+def constructed_schedule(values):
+    """The schedule field as ``Schedule``'s own constructor reads it, after ``_number`` read each time."""
+    return _field("schedule", lambda: Schedule(tuple(_number("schedule", t) for t in values)))
+
+
+@pytest.mark.parametrize("values", [
+    [0.5, 1, 2.5], [np.float64(0.5), np.int64(2)], [3], [], [0.0, 1.0], [-1, 2], [1.0, 1.0], [2.0, 1.0],
+    [1.0, float("nan")], [1.0, float("inf")], [1, 10**400], [True], ["1"], [None], None, 5, "12", {"a": 1},
+])
+def test_schedule_parse_reads_each_time_once_as_the_constructor_would(values):
+    try:
+        want = constructed_schedule(values)
+    except ScenarioError as exc:
+        with pytest.raises(ScenarioError) as info:
+            _parse_schedule({"schedule": values})
+        assert str(info.value) == str(exc)
+        return
+    got = _parse_schedule({"schedule": values})
+    assert got == want and all(type(t) is float for t in got.times)
 
 
 @pytest.mark.parametrize("parameter, values, message", [

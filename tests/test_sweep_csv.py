@@ -7,7 +7,9 @@ and the writer must equal it on rows with differing id sets, on error rows
 with ``{}`` margins, on NaN, infinite and negative-zero margins, and on
 list values that must be quoted.  The golden ``checks_sweep`` case (a sweep
 of the ``checks`` list on the README precession, one row an unknown check)
-pins a real sweep whose rows differ in their ids.
+pins a real sweep whose rows differ in their ids.  A bool value is written
+``false`` or ``true``, as ``--format json`` writes it, and an int as a
+float.
 """
 
 from __future__ import annotations
@@ -30,7 +32,12 @@ def reference_csv(rows) -> str:
     lines = [",".join(["value"] + [f'"{c}"' for c in ids] + ["error"])]
     for row in rows:
         value = row["value"]
-        cell = repr(float(value)) if isinstance(value, (int, float)) else str(value)
+        if isinstance(value, bool):
+            cell = "true" if value else "false"
+        elif isinstance(value, (int, float)):
+            cell = repr(float(value))
+        else:
+            cell = str(value)
         cells = ['"' + cell.replace('"', '""') + '"' if "," in cell or '"' in cell else cell]
         for cid in ids:
             cells.append(repr(row["margins"][cid]) if cid in row["margins"] else "")
@@ -86,6 +93,12 @@ rows_strategy = st.lists(
 @given(rows=rows_strategy)
 def test_random_rows_match_the_per_id_writer(rows):
     assert sweep_to_csv(rows) == reference_csv(rows)
+
+
+def test_bool_values_are_written_as_json_writes_them():
+    rows = [row(False, {"A": 0.5}), row(True, {"A": 0.25}), row(1, {"A": 1.0}), row(0, {"A": 1.0})]
+    cells = [line.split(",")[0] for line in sweep_to_csv(rows).splitlines()[1:]]
+    assert cells == ["false", "true", "1.0", "0.0"]
 
 
 def test_golden_sweeps_match_the_per_id_writer():

@@ -18,12 +18,16 @@ certify-exact inputs of seed 1 (468 conjugations for 780 nodes).  Rows of
 equal times (strength and seed sweeps) walk as one row until a kick of
 differing models widens the stack: seven such rows must equal the reference
 in every mode and clumsiness channel, and the matrices they save are pinned.
+A read-out lays its branches out outcome-major, so each leaf permutes its
+entries back into product order: read-outs of 4, 3 and 2 outcomes and INRM
+trace read-outs must keep every entry at its outcome tuple.
 """
 
 from __future__ import annotations
 
 import gc
 import importlib.util
+import itertools
 import json
 import tracemalloc
 from pathlib import Path
@@ -36,10 +40,17 @@ from lgcert import protocols
 from lgcert import cli
 from lgcert.cli import SweepSpec, load_scenario, run_certification
 from lgcert.macrocert import _CHECKS, _plan, _require_times
-from lgcert.protocols import MODES, _Failure, _RowSet
-from lgcert.qcore import ValidationError, matrix_to_json
+from lgcert.protocols import MODES, ProtocolConfig, Schedule, _Failure, _RowSet
+from lgcert.qcore import ClumsinessModel, ManyValuedObservable, ValidationError, matrix_to_json
 
-from conftest import random_hermitian
+from conftest import (
+    random_density,
+    random_dichotomic,
+    random_hamiltonian,
+    random_hermitian,
+    random_times,
+    random_unitary,
+)
 from test_sweep_batch import SWEEPS, many_valued_template, random_template
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -377,6 +388,40 @@ def benchmark_scenarios(workload: str, seed: int, tmp_path) -> list[Path]:
     generate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(generate)
     return [inp["path"] for inp in generate.generate(workload, seed, tmp_path)]
+
+
+def test_leaves_of_many_valued_read_outs_are_in_product_order():
+    # read-outs of 4, 3 and 2 outcomes: a leaf left in the walk's outcome-major
+    # branch order would put its entries at the wrong outcome tuples
+    rng = np.random.default_rng(71)
+    basis = random_unitary(rng, 4)
+    projectors = [np.outer(v, v.conj()) for v in basis.T]
+    observables = [
+        ManyValuedObservable(tuple(projectors), (5, -1, 2, 0)),
+        ManyValuedObservable((projectors[0], projectors[1], projectors[2] + projectors[3]), (3, 1, 2)),
+        random_dichotomic(rng, 4),
+    ]
+    rho, h = random_density(rng, 4), random_hamiltonian(rng, 4)
+    schedules = [Schedule(random_times(rng, 3)) for _ in range(7)]
+    clumsiness = [ClumsinessModel.depolarizing(eps) for eps in rng.uniform(0.0, 0.2, size=7)]
+    for mode, measured in (("projective", (1, 2, 3)), ("projective_dephased", (1, 2, 3)), ("projective", (1, 3))):
+        args = (rho, h, observables, schedules, measured, ProtocolConfig(mode=mode), clumsiness)
+        outcomes, raw = kernel_reference.walk_probabilities(*args)
+        assert outcomes == list(itertools.product(*(observables[i - 1].outcomes for i in measured)))
+        assert same((outcomes, raw), kernel_reference.experiment_probabilities(*args)), (mode, measured)
+
+
+def test_leaves_of_inrm_trace_read_outs_are_in_product_order():
+    rng = np.random.default_rng(72)
+    q = random_dichotomic(rng, 4)
+    rho, h = random_density(rng, 4), random_hamiltonian(rng, 4)
+    schedules = [Schedule(random_times(rng, 4)) for _ in range(7)]
+    clumsiness = [ClumsinessModel.depolarizing(0.05)] * 7
+    for mode, measured in (("inrm", (1, 2, 3, 4)), ("inrm_dephased", (1, 2, 4)), ("inrm", (2, 3))):
+        args = (rho, h, [q] * 4, schedules, measured, ProtocolConfig(mode=mode), clumsiness)
+        outcomes, raw = kernel_reference.walk_probabilities(*args)
+        assert outcomes == list(itertools.product(*[q.outcomes] * len(measured)))
+        assert same((outcomes, raw), kernel_reference.experiment_probabilities(*args)), (mode, measured)
 
 
 # Per golden certification: the nodes of its walks, then their conjugations.
