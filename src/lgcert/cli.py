@@ -18,6 +18,8 @@ import argparse
 import functools
 import json
 import numbers
+import os
+import stat
 import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -624,11 +626,30 @@ def _report_to_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _open_untruncated(path: str, flags: int) -> int:
+    """``os.open`` with the flags ``open`` asks for, less ``O_TRUNC``, and ``open``'s mode."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8", newline="")
-    else:
+    """Write ``text`` to stdout, or as UTF-8 over the file ``out``.
+
+    An existing file is overwritten in place and then cut to the new length,
+    which is cheaper than truncating it to zero first; the file ends up holding
+    exactly the new bytes either way.  Only a regular file is cut, so
+    ``/dev/null`` and pipes work as before.
+    """
+    if not out:
         sys.stdout.write(text)
+        return
+    data = text.encode("utf-8")
+    try:
+        with open(out, "wb", opener=_open_untruncated) as f:
+            f.write(data)
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate(len(data))
+    except OSError as exc:
+        raise ScenarioError(f"cannot write output file {out}: {exc}") from exc
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
@@ -651,11 +672,11 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, formats=("json", "csv")):
         p.add_argument("--shots", type=int, default=None, help="override shot count (0 = exact)")
         p.add_argument("--seed", type=int, default=None, help="override the random seed")
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default=None, help="output format")
+        p.add_argument("--format", choices=formats, default=None, help="output format")
 
     p_cert = sub.add_parser("certify", help="run a scenario's checks and emit the report")
     p_cert.add_argument("scenario", help="scenario JSON file")
@@ -667,7 +688,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="dump the raw experiment tables only")
     p_oracle.add_argument("scenario", help="scenario JSON file")
-    add_common(p_oracle)
+    add_common(p_oracle, ("json",))
     return parser
 
 

@@ -1,5 +1,8 @@
 import argparse
+import errno
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -437,3 +440,79 @@ class TestParseOnce:
         )
         assert main(["sweep", path, "--shots", "-1"]) == 2
         assert "shots must be non-negative" in capsys.readouterr().err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+
+
+class TestOutputFile:
+    """``--out`` overwrites a file in place and cuts it to the new length; a failed write exits 2."""
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN_CASES, ids=[f"{c['command']}-{c['output']}" for c in GOLDEN_CASES]
+    )
+    def test_overwrite_leaves_exactly_the_new_bytes(self, case, tmp_path):
+        want = (GOLDEN / case["output"]).read_bytes()
+        argv = [case["command"], str(GOLDEN / case["input"]), *case.get("args", [])]
+        before = {
+            "no file": None,
+            "longer file": b"\xff" * (len(want) + 4096),  # fails if the stale tail is not cut
+            "shorter file": b"z" * (len(want) // 2),
+            "its own bytes": want,
+        }
+        for name, old in before.items():
+            out = tmp_path / f"{name}.out"
+            if old is not None:
+                out.write_bytes(old)
+            assert main([*argv, "--out", str(out)]) == case["exit_code"], name
+            assert out.read_bytes() == want, name
+        assert main([*argv, "--out", os.devnull]) == case["exit_code"]
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        scenario_path = write_json(tmp_path, "nsit.json", nsit_scenario())
+        out = tmp_path / "report.json"
+        assert main(["certify", scenario_path, "--out", str(out)]) == 0
+        with open(tmp_path / "plain.json", "w", encoding="utf-8"):
+            pass
+        assert out.stat().st_mode == (tmp_path / "plain.json").stat().st_mode
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory", "/dev/full"])
+    def test_unwritable_output_exits_two(self, where, tmp_path, capsys):
+        out = {
+            "missing directory": str(tmp_path / "missing" / "report.json"),
+            "directory": str(tmp_path),
+            "/dev/full": "/dev/full",
+        }[where]
+        if where == "/dev/full" and not os.path.exists(out):
+            pytest.skip("no /dev/full on this platform")
+        scenario_path = write_json(tmp_path, "nsit.json", nsit_scenario())
+        assert main(["certify", scenario_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write output file {out}: ") and err.endswith("\n")
+        assert err.count("\n") == 1
+
+    def test_output_without_permission_exits_two(self, tmp_path, capsys, monkeypatch):
+        # a superuser may write anywhere, so the operating system's refusal is simulated
+        def refuse(path, flags, mode=0o777):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        scenario_path = write_json(tmp_path, "nsit.json", nsit_scenario())
+        out = str(tmp_path / "report.json")
+        monkeypatch.setattr(cli.os, "open", refuse)
+        assert main(["certify", scenario_path, "--out", out]) == 2
+        monkeypatch.undo()
+        assert capsys.readouterr().err == (
+            f"error: cannot write output file {out}: [Errno {errno.EACCES}] "
+            f"{os.strerror(errno.EACCES)}: '{out}'\n"
+        )
+        assert not os.path.exists(out)
+
+    def test_oracle_rejects_csv_format(self, tmp_path, capsys):
+        scenario_path = write_json(tmp_path, "lg3.json", lg3_scenario())
+        with pytest.raises(SystemExit) as exit_info:
+            main(["oracle", scenario_path, "--format", "csv"])
+        assert exit_info.value.code == 2
+        assert "--format" in capsys.readouterr().err
+        assert main(["oracle", scenario_path, "--format", "json"]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == {"seed", "mode", "shots", "experiments"}
