@@ -223,8 +223,10 @@ def _parse_schedule(data: Mapping[str, Any]) -> Schedule:
 
 def _parse_protocol(data: Mapping[str, Any]) -> tuple[ProtocolConfig, int]:
     """The protocol config and the shots, which a top-level ``shots`` sets over ``protocol.shots``."""
-    proto = data.get("protocol", {}) or {}
-    if not isinstance(proto, Mapping):
+    proto = data.get("protocol")
+    if proto is None:
+        proto = {}
+    elif not isinstance(proto, Mapping):
         raise ScenarioError("protocol: must be a JSON object")
     if "shots" in data:
         shots = _integer("shots", data["shots"])
@@ -498,14 +500,14 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 def sweep_to_csv(rows: Sequence[dict]) -> str:
     """One row per swept value: value column, condition-id margin columns, error column.
 
-    A number value is written as a float and a bool as ``false`` or
-    ``true``, as JSON writes it.  A value cell holding a comma or a quote (a
-    list-valued sweep) is quoted, with its quotes doubled; any other value
-    is written as it stands.  The margin columns are every row's condition
-    ids in first-seen order.  A row whose margins hold exactly these ids in
-    this order, as every row of a one-group sweep does, writes its margins
-    as one join; any other row looks each id up and leaves a cell empty
-    where it has no margin.
+    A number value is written as a float, a bool as ``false`` or ``true``
+    and ``None`` as ``null``, as JSON writes them.  A value cell holding a
+    comma or a quote (a list-valued sweep) is quoted, with its quotes
+    doubled; any other value is written as it stands.  The margin columns
+    are every row's condition ids in first-seen order.  A row whose margins
+    hold exactly these ids in this order, as every row of a one-group sweep
+    does, writes its margins as one join; any other row looks each id up and
+    leaves a cell empty where it has no margin.
     """
     seen: dict[str, Any] = {}
     for row in rows:
@@ -516,6 +518,8 @@ def sweep_to_csv(rows: Sequence[dict]) -> str:
         value = row["value"]
         if isinstance(value, bool):
             cell = "true" if value else "false"
+        elif value is None:
+            cell = "null"
         elif isinstance(value, (int, float)):
             cell = repr(float(value))
         else:
@@ -542,24 +546,18 @@ def sweep_to_csv(rows: Sequence[dict]) -> str:
 # is set.  The text is the same, byte for byte.
 _FLOAT_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-# Per dict shape (its keys in insertion order): the keys sorted, each with its
-# encoded '"key": ' prefix.  A benchmark report holds 67-120 dicts of at most
-# 11 shapes, 21 over all 210; the cap only guards against unbounded growth.
-_SHAPES: dict[tuple, tuple[tuple[str, str], ...]] = {}
-_SHAPES_CAP = 1024
+# A benchmark report holds 67-120 dicts of at most 11 shapes, 21 over all 210,
+# so each shape's sorted keys are memoised; the bound only guards against
+# unbounded growth.
+@functools.lru_cache(maxsize=1024)
+def _sorted_prefixes(shape: tuple) -> tuple[tuple[str, str], ...] | None:
+    """A dict's keys, in insertion order, sorted and each with its encoded '"key": ' prefix.
 
-
-def _sorted_prefixes(value: dict) -> tuple[tuple[str, str], ...] | None:
-    """The memo entry for ``value``'s shape; ``None``, and nothing kept, if a key is not a str."""
-    shape = tuple(value)
-    items = _SHAPES.get(shape)
-    if items is None:
-        if not all(type(key) is str for key in shape):
-            return None
-        if len(_SHAPES) >= _SHAPES_CAP:
-            _SHAPES.clear()
-        items = _SHAPES[shape] = tuple((key, encode_basestring_ascii(key) + ": ") for key in sorted(shape))
-    return items
+    ``None`` if a key is not a str.
+    """
+    if not all(type(key) is str for key in shape):
+        return None
+    return tuple((key, encode_basestring_ascii(key) + ": ") for key in sorted(shape))
 
 
 def _write_json(value: Any, out: list[str], pad: str) -> None:
@@ -584,7 +582,7 @@ def _write_json(value: Any, out: list[str], pad: str) -> None:
         out.append("null")
     elif t is bool:
         out.append("true" if value else "false")
-    elif t is dict and value and (items := _sorted_prefixes(value)) is not None:
+    elif t is dict and value and (items := _sorted_prefixes(tuple(value))) is not None:
         inner = pad + "  "
         comma = "," + inner
         start = len(out)

@@ -158,9 +158,12 @@ class ProtocolConfig:
             if len(set(dt)) != len(dt):
                 raise ValidationError("dephase_times must be distinct")
             object.__setattr__(self, "dephase_times", dt)
-        if int(self.shots) < 0:
+        shots = int(self.shots)
+        if shots < 0:
             raise ValidationError("shots must be non-negative")
-        object.__setattr__(self, "shots", int(self.shots))
+        if shots > 2**63 - 1:  # numpy's multinomial draws take a signed 64-bit count
+            raise ValidationError(f"shots must be at most 2**63 - 1, got {shots}")
+        object.__setattr__(self, "shots", shots)
 
     @property
     def uses_mechanism(self) -> bool:
@@ -194,12 +197,6 @@ def _format_label(label: int) -> str:
 def _outcome_key(outcome: tuple[int, ...]) -> str:
     """``"+1,-1"``-style text of an outcome tuple; reports and check ids format the same few many times."""
     return ",".join(_format_label(v) for v in outcome)
-
-
-@functools.lru_cache(maxsize=256)
-def _outcome_product(slots: tuple[tuple[int, ...], ...]) -> frozenset[tuple[int, ...]]:
-    """Every outcome tuple of the given slots; tables of one experiment share their slots."""
-    return frozenset(itertools.product(*slots))
 
 
 # Each table validation rule, and the variance of an empirical entry, has one
@@ -294,7 +291,7 @@ class OutcomeTable:
         slots = tuple(_labels(slot, "slot") for slot in self.slots)
         if not slots or any(len(s) < 2 for s in slots):
             raise ValidationError("each slot needs at least two outcome labels")
-        expected = _outcome_product(slots)
+        expected = set(itertools.product(*slots))
         probs = {_labels(k, "key"): _entry_value(k, p) for k, p in dict(self.probabilities).items()}
         if probs.keys() != expected:
             missing = sorted(expected - set(probs))
@@ -884,25 +881,20 @@ class _RowSet:
     It also owns finite-shot seeding.  The child seed of a draw is derived
     from (scenario seed, draw index) directly, as that index's
     ``SeedSequence`` spawn key, and the row set keeps the initial state of
-    each child's PCG64 stream by (seed, index), for every seed that more than
-    one row draws from.  Rows that share a seed (all rows of a sweep, unless
-    the seed is swept) therefore derive and seed each child once; a seed
-    only one row draws from (a single certification's) is never restored,
-    so its states are not kept.  The groups and the cache live as long as
-    the row set, which is one library, ``run_certification`` or
-    ``run_sweep`` call.
+    each child's PCG64 stream by (seed, index).  Rows that share a seed (all
+    rows of a sweep, unless the seed is swept) therefore derive and seed
+    each child once.  The groups and the cache live as long as the row set,
+    which is one library, ``run_certification`` or ``run_sweep`` call.
     """
 
     def __init__(self, scenarios: Sequence[Scenario | str]):
         self.scenarios = list(scenarios)
         self._placed: list[tuple[_ColumnRunner, int] | None] = []
         open_groups: dict[tuple, _ColumnRunner] = {}
-        rows_per_seed: dict[int, int] = {}
         for s in self.scenarios:
             if isinstance(s, str):
                 self._placed.append(None)
                 continue
-            rows_per_seed[s.seed] = rows_per_seed.get(s.seed, 0) + 1
             key = (_batch_signature(s), s.checks, s.derive_lower_moments)
             group = open_groups.get(key)
             if group is None or (len(group.scenarios) + 1) * group.entries > _BATCH_ENTRIES:
@@ -911,7 +903,6 @@ class _RowSet:
                 group.scenarios.append(s)
             self._placed.append((group, len(group.scenarios) - 1))
         self._states: dict[tuple[int, int], dict] = {}
-        self._lone_seeds = {seed for seed, count in rows_per_seed.items() if count == 1}
         self._rng: np.random.Generator | None = None
 
     def group(self, row: int) -> tuple[_ColumnRunner, int]:
@@ -934,8 +925,7 @@ class _RowSet:
         if state is None:
             child = int(np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(1)[0])
             bits = np.random.PCG64(child)
-            if seed not in self._lone_seeds:
-                self._states[seed, index] = bits.state
+            self._states[seed, index] = bits.state
             rng = np.random.Generator(bits)
             if self._rng is None:
                 self._rng = rng
@@ -1361,7 +1351,7 @@ def _sample_surviving(
 def _sample_partial(partial: InrmPartial, shots: int, seed: int) -> InrmPartial:
     """Multinomial emulation of one configuration: surviving outcomes plus the discard."""
     probs, discarded = _sample_surviving(
-        partial.probabilities, partial.discarded, shots, _generator(seed)
+        partial.probabilities, partial.discarded, shots, np.random.default_rng(seed)
     )
     return InrmPartial(
         slots=partial.slots,
@@ -1500,13 +1490,6 @@ def marginal_distribution(table: OutcomeTable, keep: Sequence[int]) -> OutcomeTa
     return OutcomeTable._built(slots, probs, table.kind, table.shots, slot_times)
 
 
-def _generator(seed: int | np.random.Generator) -> np.random.Generator:
-    """``np.random.default_rng(seed)`` without its dispatch; a generator is used as it stands."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 _NO_MASS = "table has no probability mass to sample"
 
 
@@ -1529,17 +1512,14 @@ def sample_counts(
 ) -> OutcomeTable:
     """Multinomial finite-shot emulation; entries are exact rationals counts/shots.
 
-    ``seed`` is an integer seed, drawn from exactly as
-    ``np.random.default_rng(seed)`` would, or a generator drawn from as it
-    stands.  The experiment runner passes a generator whose state the row
-    set restored from the cached initial state of an experiment's child
-    seed, which is the same stream as ``np.random.default_rng(child_seed)``.
+    ``seed`` is an integer seed or a generator, drawn from through
+    ``np.random.default_rng(seed)``, which uses a generator as it stands.
     """
     shots = int(shots)
     if shots < 1:
         raise ValidationError("shots must be >= 1")
     return _sampled_table(
-        table.slots, table.probabilities, shots, _generator(seed), table.slot_times
+        table.slots, table.probabilities, shots, np.random.default_rng(seed), table.slot_times
     )
 
 

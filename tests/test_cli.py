@@ -516,3 +516,64 @@ class TestOutputFile:
         assert "--format" in capsys.readouterr().err
         assert main(["oracle", scenario_path, "--format", "json"]) == 0
         assert set(json.loads(capsys.readouterr().out)) == {"seed", "mode", "shots", "experiments"}
+
+
+class TestShotsLimit:
+    """``shots`` above 2**63 - 1, which numpy's multinomial cannot take, is a validation error naming shots."""
+
+    TOO_MANY = 2**63
+
+    def test_shots_override_exits_two(self, capsys):
+        path = str(GOLDEN / "readme_precession.json")
+        assert main(["certify", path, "--shots", str(self.TOO_MANY), "--out", os.devnull]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "shots must be at most 2**63 - 1" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("where", ["top level", "protocol"])
+    def test_scenario_shots_rejected(self, where):
+        data = lg3_scenario()
+        if where == "top level":
+            data["shots"] = self.TOO_MANY
+        else:
+            del data["shots"]
+            data["protocol"] = {"mode": "projective", "shots": self.TOO_MANY}
+        with pytest.raises(ScenarioError, match=r"shots must be at most 2\*\*63 - 1"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("where", ["top level", "protocol"])
+    def test_largest_shots_still_runs(self, where):
+        data = lg3_scenario(seed=3)
+        if where == "top level":
+            data["shots"] = self.TOO_MANY - 1
+        else:
+            del data["shots"]
+            data["protocol"] = {"mode": "projective", "shots": self.TOO_MANY - 1}
+        report = run_certification(scenario_from_dict(data))
+        assert report["mode"] == "empirical" and report["shots"] == self.TOO_MANY - 1
+
+    def test_sweep_row_above_the_limit_is_an_error_row(self):
+        rows = run_sweep(SweepSpec(template=lg3_scenario(), parameter="shots", values=(0, 100, 2**64)))
+        assert [r["error"] for r in rows[:2]] == ["", ""] and all(r["margins"] for r in rows[:2])
+        assert rows[2]["verdict"] == "error" and "shots must be at most 2**63 - 1" in rows[2]["error"]
+
+
+class TestProtocolField:
+    """Only an absent ``protocol`` or ``null`` means the default projective protocol."""
+
+    @pytest.mark.parametrize("value", [[], 0, False, ""], ids=["empty list", "zero", "false", "empty string"])
+    def test_falsy_non_object_rejected(self, value):
+        with pytest.raises(ScenarioError, match="^protocol: must be a JSON object$"):
+            scenario_from_dict(lg3_scenario(protocol=value))
+
+    def test_null_and_absent_mean_the_default(self):
+        absent = lg3_scenario()
+        del absent["protocol"]
+        for data in (absent, lg3_scenario(protocol=None)):
+            assert scenario_from_dict(data).config.mode == "projective"
+
+
+def test_null_sweep_value_is_written_as_json_writes_it():
+    spec = SweepSpec(template=nsit_scenario(), parameter="protocol.dephase_times", values=(None, [1], [2]))
+    rows = run_sweep(spec)
+    assert [line.split(",")[0] for line in sweep_to_csv(rows).splitlines()[1:]] == ["null", "[1]", "[2]"]

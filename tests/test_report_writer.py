@@ -3,11 +3,10 @@
 ``cli._report_to_json`` builds the text in one pass instead of through the
 stdlib's pure-Python indent encoder.  Its output must equal
 ``json.dumps(x, sort_keys=True, indent=2) + "\\n"`` for every tree of
-str-keyed dicts, lists, tuples, str, int, bool, None and floats.  Sorted keys
-come from a memo per dict shape (``cli._SHAPES``), which must stay within its
-cap.  Anything else (a numpy scalar, a set, a dict with a non-str key) is
-handed to ``json.dumps`` as a sub-tree, so it gives the stdlib's text or the
-stdlib's ``TypeError``.
+str-keyed dicts, lists, tuples, str, int, bool, None and floats.  Anything
+else (a numpy scalar, a set, a dict with a non-str key) is handed to
+``json.dumps`` as a sub-tree, so it gives the stdlib's text or the stdlib's
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgcert import cli
 from lgcert.cli import _report_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -97,14 +95,6 @@ def test_one_key_set_in_two_insertion_orders():
     second = {"c": {"y": True, "z": None}, "a": [1, 2], "b": 1.5}
     assert _report_to_json(first) == _report_to_json(second) == stdlib(first)
     assert _report_to_json([first, second, first]) == stdlib([first, second, first])
-
-
-def test_shape_memo_stays_within_its_cap():
-    rng = np.random.default_rng(7)
-    for i in range(3 * cli._SHAPES_CAP):
-        tree = {f"k{j}": i for j in rng.choice(10**6, size=int(rng.integers(1, 4)), replace=False)}
-        assert _report_to_json(tree) == stdlib(tree)
-        assert len(cli._SHAPES) <= cli._SHAPES_CAP
 
 
 @pytest.mark.parametrize("tree", [

@@ -8,8 +8,8 @@ with ``{}`` margins, on NaN, infinite and negative-zero margins, and on
 list values that must be quoted.  The golden ``checks_sweep`` case (a sweep
 of the ``checks`` list on the README precession, one row an unknown check)
 pins a real sweep whose rows differ in their ids.  A bool value is written
-``false`` or ``true``, as ``--format json`` writes it, and an int as a
-float.
+``false`` or ``true`` and a null value ``null``, as ``--format json`` writes
+them, and an int as a float.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ def reference_csv(rows) -> str:
         value = row["value"]
         if isinstance(value, bool):
             cell = "true" if value else "false"
+        elif value is None:
+            cell = "null"
         elif isinstance(value, (int, float)):
             cell = repr(float(value))
         else:
