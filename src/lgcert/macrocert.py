@@ -20,16 +20,12 @@ errors propagated from the multinomial entry variances.  Sweep rows are
 certified a group at a time (``_certify_columns``), from (R, N) arrays of
 exact entries or of each row's sampled frequencies.
 
-Both certifiers stay, each the faster on its own workload.  ``_certify``
-builds the tables, moments and results a report holds, for one row;
-``_certify_columns`` keeps each row's margins and verdict, for a whole
-group.  On one row the columns cost more: over the certify benchmark's
-seed-1 scenarios (best of 7 rounds of 20 calls each, shared 2-vCPU host) a
-one-row ``_certify_grouped`` took 2.55 ms against ``_certify``'s 1.87 ms
-exact (2.22 ms in a second pass), and 3.59 against 2.28 ms (3.28) at 10^4
-shots, per-scenario median ratios 1.44 and 1.53, where a whole certify op
-takes about 3 ms.  Certifying one scenario through the columns would cost a
-quarter or more of each op.
+Both certifiers stay, each the faster on its own workload: ``_certify``
+builds one row's report, ``_certify_columns`` a group's margins and
+verdicts.  A one-row ``_certify_grouped`` took 2.55 ms against
+``_certify``'s 1.87 ms exact and 3.59 against 2.28 ms at 10^4 shots (seed-1
+certify benchmark scenarios, best of 7 rounds of 20 calls, shared 2-vCPU
+host), a quarter or more of a whole certify op of about 3 ms.
 """
 
 from __future__ import annotations

@@ -131,6 +131,14 @@ class Schedule:
         return self.times[i]
 
 
+def _shot_count(shots) -> int:
+    """``shots`` as an int, which numpy's multinomial draws take as a signed 64-bit count."""
+    shots = int(shots)
+    if shots > 2**63 - 1:
+        raise ValidationError(f"shots must be at most 2**63 - 1, got {shots}")
+    return shots
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """How a run is performed.
@@ -158,11 +166,9 @@ class ProtocolConfig:
             if len(set(dt)) != len(dt):
                 raise ValidationError("dephase_times must be distinct")
             object.__setattr__(self, "dephase_times", dt)
-        shots = int(self.shots)
+        shots = _shot_count(self.shots)
         if shots < 0:
             raise ValidationError("shots must be non-negative")
-        if shots > 2**63 - 1:  # numpy's multinomial draws take a signed 64-bit count
-            raise ValidationError(f"shots must be at most 2**63 - 1, got {shots}")
         object.__setattr__(self, "shots", shots)
 
     @property
@@ -881,20 +887,25 @@ class _RowSet:
     It also owns finite-shot seeding.  The child seed of a draw is derived
     from (scenario seed, draw index) directly, as that index's
     ``SeedSequence`` spawn key, and the row set keeps the initial state of
-    each child's PCG64 stream by (seed, index).  Rows that share a seed (all
-    rows of a sweep, unless the seed is swept) therefore derive and seed
-    each child once.  The groups and the cache live as long as the row set,
-    which is one library, ``run_certification`` or ``run_sweep`` call.
+    each child's PCG64 stream by (seed, index), for every seed that more than
+    one row draws from.  Rows that share a seed (all rows of a sweep, unless
+    the seed is swept) therefore derive and seed each child once; a seed
+    only one row draws from (a single certification's) is never restored,
+    so its states are not kept.  The groups and the cache live as long as
+    the row set, which is one library, ``run_certification`` or
+    ``run_sweep`` call.
     """
 
     def __init__(self, scenarios: Sequence[Scenario | str]):
         self.scenarios = list(scenarios)
         self._placed: list[tuple[_ColumnRunner, int] | None] = []
         open_groups: dict[tuple, _ColumnRunner] = {}
+        rows_per_seed: dict[int, int] = {}
         for s in self.scenarios:
             if isinstance(s, str):
                 self._placed.append(None)
                 continue
+            rows_per_seed[s.seed] = rows_per_seed.get(s.seed, 0) + 1
             key = (_batch_signature(s), s.checks, s.derive_lower_moments)
             group = open_groups.get(key)
             if group is None or (len(group.scenarios) + 1) * group.entries > _BATCH_ENTRIES:
@@ -903,6 +914,7 @@ class _RowSet:
                 group.scenarios.append(s)
             self._placed.append((group, len(group.scenarios) - 1))
         self._states: dict[tuple[int, int], dict] = {}
+        self._lone_seeds = {seed for seed, count in rows_per_seed.items() if count == 1}
         self._rng: np.random.Generator | None = None
 
     def group(self, row: int) -> tuple[_ColumnRunner, int]:
@@ -925,7 +937,8 @@ class _RowSet:
         if state is None:
             child = int(np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(1)[0])
             bits = np.random.PCG64(child)
-            self._states[seed, index] = bits.state
+            if seed not in self._lone_seeds:
+                self._states[seed, index] = bits.state
             rng = np.random.Generator(bits)
             if self._rng is None:
                 self._rng = rng
@@ -1515,7 +1528,7 @@ def sample_counts(
     ``seed`` is an integer seed or a generator, drawn from through
     ``np.random.default_rng(seed)``, which uses a generator as it stands.
     """
-    shots = int(shots)
+    shots = _shot_count(shots)
     if shots < 1:
         raise ValidationError("shots must be >= 1")
     return _sampled_table(

@@ -115,6 +115,12 @@ class TestOutcomeTable:
                 slots=((1, -1),), probabilities={(1,): 0.5, (-1,): 0.5}, kind="empirical", shots=0
             )
 
+    def test_sample_counts_shots_limit(self):
+        table = OutcomeTable(slots=((1, -1),), probabilities={(1,): 0.5, (-1,): 0.5})
+        with pytest.raises(ValidationError, match=r"shots must be at most 2\*\*63 - 1"):
+            sample_counts(table, 2**63, seed=0)
+        assert sample_counts(table, 2**63 - 1, seed=0).shots == 2**63 - 1
+
     def test_slot_times_length_must_match(self):
         with pytest.raises(ValidationError, match="slot_times"):
             OutcomeTable(slots=((1, -1),), probabilities={(1,): 0.5, (-1,): 0.5}, slot_times=(1, 2))
