@@ -489,25 +489,27 @@ def _walk(
     is run once (``_advance``), all branches of all rows as one
     (R, B, d, d) stack; every distinct step's unitaries come from one
     vectorised exp over the cached spectrum.  Siblings that take the same
-    step share its conjugation of their parent's stack: they differ only in
-    mechanism, kick and read-out, so the first of them to run conjugates and
-    the rest read its result.  Rows of equal times (a strength or seed
-    sweep) share their unitaries: a stack stays one row until a kick of
-    per-row models widens it to R, and rows that also share one model walk
-    as one row throughout.  Rows that share one model, whatever their
-    times, are kicked by that model alone, and a kick's arrays are built
-    once for all its nodes (``_kick``).  A parent's stack is dropped
-    once each of its steps has conjugated it, and a conjugated stack once
-    the last sibling sharing it has read it, so about one root-to-leaf path
-    is held.  A conjugation U m U^dag is one product per matrix for U m,
-    then one tall product per row for (U m) U^dag (``_tall_product``),
-    which equals the per-matrix products bit for bit; a wide product for
-    U m would not.  Read-outs lay their branches out outcome-major
-    (``_advance``), so a leaf's traces are put back in product order by one
-    cached column permutation (``_leaf_order``).  An experiment gets its
-    outcome tuples in product order and the unclamped (R, N) traces of its
-    leaf, a one-row leaf repeated R times, or the ``_Failure`` of its path's
-    first node that raised.
+    step differ only in mechanism, kick and read-out: when a node branches,
+    its children are grouped by step, its output is conjugated once per
+    step, and each child is pushed with that conjugated stack, shared by
+    reference.  Rows of equal times (a strength or seed sweep) share their
+    unitaries: a stack stays one row until a kick of per-row models widens
+    it to R, and rows that also share one model walk as one row
+    throughout.  Rows that share one model, whatever their times, are
+    kicked by that model alone, and a kick's arrays are built once for all
+    its nodes (``_kick``).  A node's output is released once its children
+    are pushed, and a conjugated stack once its last child is popped, so
+    about one root-to-leaf path is held; the pending nodes are a list, not
+    the call stack, so no recursion limit bounds a path's length.  A
+    conjugation U m U^dag is one product per matrix for U m, then one tall
+    product per row for (U m) U^dag (``_tall_product``), which equals the
+    per-matrix products bit for bit; a wide product for U m would not.
+    Read-outs lay their branches out outcome-major (``_advance``), so a
+    leaf's traces are put back in product order by one cached column
+    permutation (``_leaf_order``).  An experiment gets its outcome tuples in
+    product order and the unclamped (R, N) traces of its leaf, a one-row
+    leaf repeated R times, or the ``_Failure`` of its path's first node that
+    raised.
     """
     results = {request: path for request, path in paths.items() if isinstance(path, _Failure)}
     live = [(request, path) for request, path in paths.items() if not isinstance(path, _Failure)]
@@ -527,37 +529,24 @@ def _walk(
     adjoints = unitaries.conj().swapaxes(-1, -2)
     # each step's (R, 1, d, d) unitary and (R, d, d) adjoint, sliced once for all its nodes
     ops = {step: (unitaries[:, i, None], adjoints[:, i]) for i, step in enumerate(steps)}
-    # each pending node: the cell its siblings of one step share, its depth
-    # and the paths through it.  A cell is [stack, step, nodes left]: the
-    # parent's stack and the step until its first node conjugates, then the
-    # conjugated stack and None, and None for the stack once no node is left.
-    pending: list[tuple[list, int, list]] = []
+    # each pending node: its parent's stack conjugated by its step, its depth and the paths through it
+    pending: list[tuple[np.ndarray, int, list]] = []
 
     def branch(stack: np.ndarray, depth: int, group: list) -> None:
-        children: dict[tuple, list] = {}
+        children: dict[tuple, dict[tuple, list]] = {}  # per step, per node key
         for request, path in group:
             if len(path) > depth:
-                children.setdefault(path[depth][0], []).append((request, path))
-        cells: dict[tuple, list] = {}
-        for key, child in children.items():
-            cell = cells.get(key[0])
-            if cell is None:
-                cell = cells[key[0]] = [stack, key[0], 0]
-            cell[2] += 1
-            pending.append((cell, depth, child))
+                key = path[depth][0]
+                children.setdefault(key[0], {}).setdefault(key, []).append((request, path))
+        for step, nodes in children.items():
+            unitary, adjoint = ops[step]
+            conjugated = _tall_product(unitary @ stack, adjoint)
+            pending.extend((conjugated, depth, node) for node in nodes.values())
 
     branch(rho.matrix[None, None], 0, live)
     while pending:
-        cell, depth, group = pending.pop()
+        stack, depth, group = pending.pop()
         key, obs = group[0][1][depth]
-        stack = cell[0]  # and the last node's output, which its children hold, is let go
-        if cell[1] is not None:  # the cell's first node conjugates for all of them
-            unitary, adjoint = ops[cell[1]]
-            stack = cell[0] = _tall_product(unitary @ stack, adjoint)
-            cell[1] = None
-        cell[2] -= 1
-        if not cell[2]:
-            cell[0] = None
         try:
             stack = _advance(stack, key, obs, kick)
         except ValidationError as exc:
@@ -626,27 +615,21 @@ def _leaf(rho: DensityOperator, h: Hamiltonian, times, clumsiness, path: list) -
 
 
 def _model_key(c: ClumsinessModel) -> tuple:
-    """What ``_clumsy_stack`` reads of a model: equal keys kick alike, bit for bit."""
+    """What ``_kick`` reads of a model: equal keys kick alike, bit for bit."""
     return c.kind, c.strength, None if c.generator is None else c.generator.tobytes()
 
 
-def _clumsy_stack(stack: np.ndarray, clumsiness: Sequence[ClumsinessModel]) -> np.ndarray:
+def _kick(clumsiness: Sequence[ClumsinessModel], d: int) -> Callable[[np.ndarray], np.ndarray]:
     """``apply_clumsiness_matrix`` on every matrix of an (R, B, d, d) stack, row i with ``clumsiness[i]``.
 
-    The models are all of one non-trivial kind.  Bit for bit the per-matrix
+    The models are all of one non-trivial kind, and their per-row arrays are
+    built once for every node of a walk.  Bit for bit the per-matrix
     function: depolarizing noise scales the real and imaginary parts of each
     trace as its complex scalar arithmetic does (they differ at most in the
     sign of a zero, which the product with the identity drops), and kicks
-    conjugate each row's branches with that row's unitary.
-    """
-    return _kick(clumsiness, stack.shape[-1])(stack)
-
-
-def _kick(clumsiness: Sequence[ClumsinessModel], d: int) -> Callable[[np.ndarray], np.ndarray]:
-    """``_clumsy_stack`` of ``clumsiness`` on (R, B, d, d) stacks, its per-row arrays built once for every node of a walk.
-
-    A kick whose generator is not d x d raises when it is applied, so the
-    error belongs to the experiments below that node.
+    conjugate each row's branches with that row's unitary.  A kick whose
+    generator is not d x d raises when it is applied, so the error belongs
+    to the experiments below that node.
     """
     if clumsiness[0].kind == "unitary_kick":
         # the rows of a batch share their generators' shape (``_batch_signature``)
@@ -1106,14 +1089,10 @@ def _table_columns(
     """
     if config.uses_detectors:
         labels = observables[measured[0] - 1].outcomes
-        # survivor prefixes in this order are the couplings (1, -1)^(m-1) in product order
-        order = [
-            survivors + (s,)
-            for survivors in itertools.product((-1, 1), repeat=len(measured) - 1)
-            for s in labels
-        ]
-        column = {o: k for k, o in enumerate(outcomes)}
-        raw = raw[:, [column[o] for o in order]]
+        # the couplings' product order over (-1, 1) is the labels' (1, -1) prefix order reversed
+        rows, width = len(raw), len(labels)
+        raw = raw.reshape(rows, -1, width)[:, ::-1].reshape(rows, -1)
+        order = [o for end in range(len(outcomes), 0, -width) for o in outcomes[end - width : end]]
         slots = tuple(tuple(labels) for _ in measured)
     else:
         order = list(outcomes)

@@ -32,8 +32,8 @@ from lgcert.protocols import (
     ProtocolConfig,
     Schedule,
     _blind_stack,
-    _clumsy_stack,
     _experiment_config,
+    _kick,
     _leaf,
     _path,
     _row_table,
@@ -70,10 +70,10 @@ def kicked(stack: np.ndarray, clumsiness: Sequence[ClumsinessModel]) -> np.ndarr
     """The clumsiness channel on every matrix of an (R, B, d, d) stack, row i with ``clumsiness[i]``.
 
     Depolarizing noise and a kick whose generator does not fit (which
-    raises) are the walk's own ``_clumsy_stack``.
+    raises) are the walk's own ``_kick``.
     """
     if clumsiness[0].kind != "unitary_kick" or stack.shape[-1] != clumsiness[0].generator.shape[0]:
-        return _clumsy_stack(stack, clumsiness)
+        return _kick(clumsiness, stack.shape[-1])(stack)
     kicks = np.array([c.kick_unitary for c in clumsiness])[:, None]
     return kicks @ stack @ kicks.conj().swapaxes(-1, -2)
 

@@ -4,7 +4,8 @@ The kernel carries every branch of a run as one (B, d, d) stack and builds
 each Hamiltonian's spectrum once; these tests pin its results to direct
 projector-string algebra with scipy's expm, its INRM assembly to the
 sequential projective table, its batched ancilla circuit to the per-matrix
-public function bit for bit, and its eigendecomposition count.  The
+public function bit for bit, and its eigendecomposition count.  A path of
+1500 steps must run, whatever Python's recursion limit.  The
 per-branch loops the kernel replaced are kept here as references its
 results must equal bit for bit, because reports stay byte-identical.
 """
@@ -24,7 +25,7 @@ from lgcert.protocols import (
     Schedule,
     _blind_stack,
     _clean_probs,
-    _clumsy_stack,
+    _kick,
     assemble_inrm,
     blind_measurement_via_ancilla,
     experiment_distribution,
@@ -314,4 +315,23 @@ def test_clumsiness_broadcast_is_bitwise_the_per_matrix_loop(d, kick):
         loop = np.array(
             [apply_clumsiness_matrix(m, models[i // b]) for i, m in enumerate(stack.reshape(-1, d, d))]
         )
-        assert _clumsy_stack(stack, models).tobytes() == loop.reshape(stack.shape).tobytes()
+        assert _kick(models, d)(stack).tobytes() == loop.reshape(stack.shape).tobytes()
+
+
+def test_a_mechanism_at_the_last_of_1500_times_certifies():
+    # a path of 1500 steps, deeper than Python's default recursion limit of 1000
+    data = {
+        "dimension": 2,
+        "initial_state": "maximally_mixed",
+        "hamiltonian": {"preset": "precession", "frequency": 1.0},
+        "observable": "sigma_z",
+        "schedule": [0.01 * (k + 1) for k in range(1500)],
+        "protocol": {"mode": "projective_dephased", "dephase_times": [1500]},
+        "checks": ["NSIT", "LG3"],
+        "shots": 0,
+        "seed": 1,
+    }
+    report = run_certification(scenario_from_dict(data))
+    assert report["verdict"] in ("all_satisfied", "violations")
+    assert [c["id"] for c in report["conditions"]] == [f"LG3-{k}" for k in range(1, 5)]
+    assert [w["id"] for w in report["witnesses"]] == ["NSIT-(2;12)"]

@@ -28,7 +28,7 @@ import io
 import numpy as np
 import pytest
 
-from lgcert.protocols import _READ, _TRACE, _advance, _clumsy_stack
+from lgcert.protocols import _READ, _TRACE, _advance, _kick
 from lgcert.qcore import (
     _TALL_TERMS,
     ClumsinessModel,
@@ -123,7 +123,7 @@ def test_kick_right_product(d):
         for given in (models, models[:1]):
             kicks = np.array([m.kick_unitary for m in given])[:, None]
             want = kicks @ stack @ kicks.conj().swapaxes(-1, -2)
-            assert_same_bits(_clumsy_stack(stack, given), want, f"d={d} R={rows} B={b} models={len(given)}")
+            assert_same_bits(_kick(given, d)(stack), want, f"d={d} R={rows} B={b} models={len(given)}")
 
 
 @pytest.mark.parametrize("d", DIMENSIONS)
