@@ -882,8 +882,11 @@ def _nsit_columns(
     defects = reduced.values[:, columns] - marg.values
     if not (full.shots or reduced.shots):
         return defects, None
-    # per marginal outcome, its full entries' variances added in table order to 0.0
-    summed = _marginal_columns(_TableColumns(full.slots, full.outcomes, full.variances), keep).values
+    # per reduced outcome, its full entries' variances in table order, added by a builtin sum as
+    # check_nsit adds them (compensated from Python 3.12, so a column sum from 0.0 would not match)
+    sources = [[j for j, o in enumerate(full.outcomes) if tuple(o[i - 1] for i in keep) == r]
+               for r in marg.outcomes]
+    summed = np.stack([_row_total(list(full.variances[:, s].T)) for s in sources], axis=1)
     return defects, reduced.variances[:, columns] + summed
 
 
