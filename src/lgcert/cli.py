@@ -419,7 +419,11 @@ def run_certification(scenario: Scenario) -> dict:
 
 
 def _row_data(template: Mapping[str, Any], parameter: str, value) -> dict:
-    """The template with ``value`` set at ``parameter``; only the dicts along the path are copied."""
+    """The template with ``value`` set at ``parameter``; only the dicts along the path are copied.
+
+    An absent or null field on the path becomes a new object; any other
+    field there that is not an object raises ``ScenarioError``.
+    """
     data = dict(template)
     if parameter == "schedule.gap":
         try:
@@ -431,9 +435,12 @@ def _row_data(template: Mapping[str, Any], parameter: str, value) -> dict:
         return data
     parts = parameter.split(".")
     node = data
-    for part in parts[:-1]:
+    for i, part in enumerate(parts[:-1]):
         nxt = node.get(part)
-        nxt = dict(nxt) if isinstance(nxt, dict) else {}
+        if nxt is not None and not isinstance(nxt, dict):
+            field = ".".join(parts[: i + 1])
+            raise ScenarioError(f"{parameter}: {field} is a {type(nxt).__name__}, not a JSON object")
+        nxt = dict(nxt or {})
         node[part] = nxt
         node = nxt
     node[parts[-1]] = value

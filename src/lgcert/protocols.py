@@ -502,8 +502,9 @@ def _walk(
     about one root-to-leaf path is held; the pending nodes are a list, not
     the call stack, so no recursion limit bounds a path's length.  A
     conjugation U m U^dag is one product per matrix for U m, then one tall
-    product per row for (U m) U^dag (``_tall_product``), which equals the
-    per-matrix products bit for bit; a wide product for U m would not.
+    product per distinct U^dag for (U m) U^dag (``_tall_product``), a
+    single one for rows of equal times, which equals the per-matrix
+    products bit for bit; a wide product for U m would not.
     Read-outs lay their branches out outcome-major (``_advance``), so a
     leaf's traces are put back in product order by one cached column
     permutation (``_leaf_order``).  An experiment gets its outcome tuples in
@@ -567,14 +568,14 @@ def _advance(stack: np.ndarray, key: tuple, obs: Observable, kick: Callable[[np.
     """One node of the walk on its parent's (R, B, d, d) ``stack`` conjugated by its step: its mechanism, ``kick`` and read-out.
 
     Products by a shared right-hand matrix are tall, one BLAS call per
-    right-hand matrix and row: (P_s m) P_s in the dephasing and a read-out
-    (``_projections``) and (K m) K^dag in a kick (``_tall_product``).  The
-    left-hand products stay one per matrix, because a wide (d, B d) product
-    differs from them in the last bit at d = 2 and 3.  A read-out over K
-    outcomes lays its branches out outcome-major, as the (R, K, B, d, d)
-    stack of ``_projections``, so that each (row, outcome) block of B
-    matrices is contiguous for its tall product without a copy; the walk's
-    leaves restore product order (``_leaf_order``).
+    distinct right-hand matrix: (P_s m) P_s in the dephasing and a read-out
+    (``_projections``, one call per outcome across every row) and
+    (K m) K^dag in a kick (``_tall_product``, one call for rows that share
+    one model).  The left-hand products stay one per matrix, because a wide
+    (d, B d) product differs from them in the last bit at d = 2 and 3.  A
+    read-out over K outcomes lays each row's branches out outcome-major,
+    as the (R, K, B, d, d) view of ``_projections``; the walk's leaves
+    restore product order (``_leaf_order``).
     """
     d = stack.shape[-1]
     _, _, mechanism, clumsy, read = key

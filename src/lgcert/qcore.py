@@ -395,16 +395,24 @@ _TALL_TERMS = 1 << 15
 def _tall_product(stack: np.ndarray, right: np.ndarray) -> np.ndarray:
     """``stack @ right[..., None, :, :]`` for a complex (..., B, d, d) ``stack`` and a (..., d, d) ``right``.
 
-    The B matrices that share a right-hand matrix are stacked as the rows of
-    one tall (B d, d) matrix, so numpy makes one BLAS call per right-hand
+    The matrices that share a right-hand matrix are stacked as the rows of
+    one tall matrix, so numpy makes one BLAS call per distinct right-hand
     matrix rather than one per d x d matrix, in blocks of at most
-    ``_TALL_TERMS / d^2`` rows.  Every row of a product comes from its own
-    left-hand row, so the blocks, the whole product and the per-matrix
-    products agree bit for bit.
+    ``_TALL_TERMS / d^2`` rows.  The trailing leading axes over which
+    ``right`` is broadcast are folded into the tall dimension with the B
+    axis, so a right-hand matrix shared by every row of a stack is one call
+    for all of them.  Every row of a product comes from its own left-hand
+    row, so the blocks, the whole product and the per-matrix products agree
+    bit for bit.
     """
     shape = stack.shape
     d = shape[-1]
-    x = stack.reshape(shape[:-3] + (-1, d))
+    lead, shared = shape[:-3], right.shape[:-2]
+    n = len(lead)
+    while lead and (not shared or shared[-1] == 1):
+        lead, shared = lead[:-1], shared[:-1]
+    # each folded axis stays as one of length 1, where ``right`` broadcasts as before
+    x = stack.reshape(lead + (1,) * (n - len(lead)) + (-1, d))
     rows = x.shape[-2]
     if rows * d * d <= _TALL_TERMS:
         return (x @ right).reshape(shape)
@@ -456,14 +464,15 @@ def _projections(stack: np.ndarray, q: Observable, right: bool = True) -> np.nda
 
     Outcome-major, in ``q.outcomes`` order.  Each P_s m is one product per
     matrix; a wide (d, B d) product would differ from them in the last bit
-    at d = 2 and 3.  Each (row, outcome) block of B matrices is contiguous,
-    so its (P_s m) P_s is one tall (B d, d) product (``_tall_product``), one
-    BLAS call per row and outcome, which equals the per-matrix products bit
-    for bit.
+    at d = 2 and 3.  They are built as a (K, R, B, d, d) stack, each
+    outcome's block of R B matrices contiguous, so its (P_s m) P_s over
+    every row and branch is one tall (R B d, d) product (``_tall_product``),
+    one BLAS call per outcome, which equals the per-matrix products bit for
+    bit.  The result is that stack's (R, K, B) view.
     """
-    projs = q.projector_stack
-    branched = projs[:, None] @ stack[:, None]
-    return _tall_product(branched, projs) if right else branched
+    projs = q.projector_stack[:, None]
+    branched = projs[:, None] @ stack
+    return (_tall_product(branched, projs) if right else branched).swapaxes(0, 1)
 
 
 def dephase_matrix(m: np.ndarray, q: Observable) -> np.ndarray:

@@ -577,3 +577,27 @@ def test_null_sweep_value_is_written_as_json_writes_it():
     spec = SweepSpec(template=nsit_scenario(), parameter="protocol.dephase_times", values=(None, [1], [2]))
     rows = run_sweep(spec)
     assert [line.split(",")[0] for line in sweep_to_csv(rows).splitlines()[1:]] == ["null", "[1]", "[2]"]
+
+
+class TestSweptPath:
+    """A swept path runs through objects: a present field on it that is not one makes an error row."""
+
+    @pytest.mark.parametrize(
+        ("parameter", "field", "kind"),
+        [("schedule.1", "schedule", "list"), ("initial_state.kind", "initial_state", "str")],
+    )
+    def test_non_object_on_the_path_is_an_error_row(self, parameter, field, kind):
+        rows = run_sweep(SweepSpec(template=lg3_scenario(), parameter=parameter, values=(1, 2)))
+        assert [r["verdict"] for r in rows] == ["error", "error"]
+        assert [r["error"] for r in rows] == [f"{parameter}: {field} is a {kind}, not a JSON object"] * 2
+
+    @pytest.mark.parametrize("protocol", ["absent", None])
+    def test_absent_or_null_field_becomes_an_object(self, protocol):
+        data = lg3_scenario()
+        if protocol == "absent":
+            del data["protocol"]
+        else:
+            data["protocol"] = protocol
+        rows = run_sweep(SweepSpec(template=data, parameter="protocol.mode", values=("projective",)))
+        want = run_certification(scenario_from_dict(lg3_scenario()))
+        assert rows[0]["error"] == "" and rows[0]["margins"] == {c["id"]: c["margin"] for c in want["conditions"]}

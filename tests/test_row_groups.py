@@ -56,6 +56,7 @@ KERNEL_CALLS = {
     "appendix-shots": 1,
     "d4-ancilla-blind-strength-shots": 1,
     "deterministic-shots": 1,
+    "d2-m4-gap-520-rows": 1,
     "inrm-marginal-above-one": 1,
     "inrm-marginal-above-one-derived": 1,
 }

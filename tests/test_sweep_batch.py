@@ -10,7 +10,9 @@ The sweeps cover equal-gap and clumsiness-strength sweeps at d = 2, 4 and
 and not others, a trivial clumsiness strength that splits the rows into
 two kernel groups, unitary kicks, rows that share nothing (a mode sweep), a
 dimension sweep over presets, which must not reuse the template's parsed
-objects, and a template that is invalid while its rows are valid.
+objects, a template that is invalid while its rows are valid, and a
+520-row gap sweep at four times, whose last read-out's tall products,
+folded across rows, span more than one block.
 
 Exact rows are certified as columns, one group of rows at a time, so further
 exact sweeps reach every columnar branch: four times with LG4, NONNEG3 and
@@ -267,6 +269,12 @@ SWEEPS = {
         dict(README_SCENARIO, initial_state="ground", shots=1000,
              checks=["LG3", "LG2", "NSIT", "MONO", "NONNEG3"]),
         "schedule.gap", [1e-4, 0.5, 1e-3, 1.0],
+    ),
+    # 520 rows at four times: each outcome of the fourth read-out is one tall
+    # product of 16 R rows at d = 2, more than one block of 8,192.
+    "d2-m4-gap-520-rows": (
+        dict(README_SCENARIO, schedule=[0.3, 0.6, 0.9, 1.2], checks=["LG4", "NONNEG4", "NSIT"]),
+        "schedule.gap", [0.05 + 0.005 * k for k in range(520)],
     ),
     "inrm-marginal-above-one": (INRM_SPLIT, "seed", [1, 2, 3, 4, 5, 6]),
     "inrm-marginal-above-one-derived": (

@@ -2,14 +2,18 @@
 
 numpy's stacked ``matmul`` makes one BLAS call per d x d matrix.  Where the
 right-hand factor of a product is shared, the kernel stacks the left-hand
-matrices as the rows of one tall (B d, d) matrix instead, so numpy makes
-one call per right-hand matrix: the conjugation's ``@ U^dag`` in the walk,
-the read-out's ``@ P_k``, ``@ P_s`` in ``dephase_matrix``, ``@ K^dag`` for a
-unitary kick and ``@ V^dag`` in ``unitary_for``.  Each row of a matrix
+matrices as the rows of one tall matrix instead, so numpy makes one call
+per distinct right-hand matrix, across the rows of a stack that share it:
+the conjugation's ``@ U^dag`` in the walk, the read-out's ``@ P_k`` (each
+outcome's products of every row in one call, outcome-major across rows),
+``@ P_s`` in ``dephase_matrix``, ``@ K^dag`` for a unitary kick and
+``@ V^dag`` in ``unitary_for``.  Each row of a matrix
 product is computed from its own left-hand row, so the tall products must
 equal the per-matrix ones bit for bit, which keeps reports byte-identical.
 That rests on the BLAS build: a failure message here prints numpy's, so a
-difference on another machine can be tied to it.
+difference on another machine can be tied to it.  A right-hand matrix that
+every row of a stack shares makes one call for all of them, which a
+recording array counts.
 
 Left-hand products stay per matrix: a wide (d, B d) product differed from
 the per-matrix one in the last bit on most random inputs at d = 2 and 3.
@@ -24,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import io
+import math
 
 import numpy as np
 import pytest
@@ -44,6 +49,7 @@ from conftest import random_hermitian, random_unitary
 DIMENSIONS = [2, 3, 4, 8, 16]
 OUTCOMES = [(d, k) for d in DIMENSIONS for k in (2, 3) if k <= d]  # (d, K)
 SHAPES = [(1, 1), (1, 17), (2, 5), (7, 2), (7, 17), (70, 1), (70, 3), (33, 17)]  # (R, B)
+FOLDED = (1_100, 8)  # (R, B) at d = 2: a right-hand matrix shared over R B d rows, more than one block
 
 
 @functools.cache
@@ -75,7 +81,7 @@ def observable(rng, d: int, k: int) -> ManyValuedObservable:
 @pytest.mark.parametrize("d", DIMENSIONS)
 def test_conjugation_right_product(d):
     rng = np.random.default_rng([d, 1])
-    for rows, b in SHAPES:
+    for rows, b in SHAPES + [FOLDED] * (d == 2):
         stack = complex_stack(rng, rows, b, d, d)
         unitaries = np.array([random_unitary(rng, d) for _ in range(rows)])
         # the walk's adjoints: a view of the conjugated unitaries, each matrix transposed
@@ -90,7 +96,7 @@ def test_read_out_right_product(d, k):
     rng = np.random.default_rng([d, k, 2])
     obs = observable(rng, d, k)
     projs = obs.projector_stack
-    for rows, b in SHAPES:
+    for rows, b in SHAPES + [FOLDED] * (d == 2):
         stack = complex_stack(rng, rows, b, d, d)
         left = projs[:, None] @ stack[:, None]  # (R, K, B, d, d), outcome-major
         for read, want in ((_READ, left @ projs[:, None]), (_TRACE, left)):
@@ -156,16 +162,35 @@ def test_blocked_tall_product(d):
 
 
 class RecordedMatmul(np.ndarray):
-    """An array that records the left-hand shape of each matmul it takes part in."""
+    """An array that records each matmul it takes part in; an array computed from it records its own.
+
+    ``shapes`` holds each product's left-hand shape.  ``calls`` holds, for
+    each product whose left-hand factor is recorded, that is each right-hand
+    product of it, its BLAS calls (one per pair of matrices of the broadcast
+    leading axes) and the rows of each call's left-hand matrix.
+    """
 
     shapes: list[tuple[int, ...]] = []
+    calls: list[tuple[int, int]] = []
 
     def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
         if ufunc is np.matmul:
             RecordedMatmul.shapes.append(inputs[0].shape)
+            if isinstance(inputs[0], RecordedMatmul):
+                lead = np.broadcast_shapes(inputs[0].shape[:-2], np.shape(inputs[1])[:-2])
+                RecordedMatmul.calls.append((math.prod(lead), inputs[0].shape[-2]))
         if out is not None:
             kwargs["out"] = tuple(np.asarray(o) for o in out)
-        return getattr(ufunc, method)(*(np.asarray(i) for i in inputs), **kwargs)
+        result = getattr(ufunc, method)(*(np.asarray(i) for i in inputs), **kwargs)
+        return result.view(RecordedMatmul) if out is None and isinstance(result, np.ndarray) else result
+
+
+def right_calls(product, stack: np.ndarray, d: int) -> int:
+    """The BLAS calls that ``product(stack)`` makes with the products of ``stack`` as left-hand factors."""
+    RecordedMatmul.calls = []
+    product(stack.view(RecordedMatmul))
+    assert all(rows * d * d <= _TALL_TERMS for _, rows in RecordedMatmul.calls), RecordedMatmul.calls
+    return sum(n for n, _ in RecordedMatmul.calls)
 
 
 @pytest.mark.parametrize("d", DIMENSIONS)
@@ -179,6 +204,24 @@ def test_each_call_stays_below_the_block_size(d):
     assert_same_bits(np.asarray(got), stack @ right[:, None], f"d={d} {n} matrices")
     assert len(RecordedMatmul.shapes) >= 4
     assert all(shape[-2] * d * d <= _TALL_TERMS for shape in RecordedMatmul.shapes), RecordedMatmul.shapes
+
+
+@pytest.mark.parametrize(("d", "k"), [(2, 2), (3, 3), (4, 2)])
+def test_shared_right_hand_products_make_one_call_per_matrix(d, k):
+    """A right-hand matrix shared by every row is one BLAS call for all of them, not one per row."""
+    rng = np.random.default_rng([d, k, 10])
+    obs = observable(rng, d, k)
+    generator = random_hermitian(rng, d)
+    for rows in (1, 7, 70):
+        stack = complex_stack(rng, rows, 3, d, d)
+        adjoints = np.array([random_unitary(rng, d) for _ in range(rows)]).conj().swapaxes(-1, -2)
+        models = [ClumsinessModel.unitary_kick(0.3, generator)]
+        for read in (_READ, _TRACE):
+            want = k if read == _READ else 0
+            assert right_calls(lambda s: _advance(s, (None, None, 0, False, read), obs, None), stack, d) == want
+        assert right_calls(lambda s: _tall_product(s, adjoints[:1]), stack, d) == 1
+        assert right_calls(lambda s: _tall_product(s, adjoints), stack, d) == rows
+        assert right_calls(_kick(models, d), stack, d) == 1
 
 
 def test_unitaries_past_the_block_size():
