@@ -21,7 +21,7 @@ import numbers
 import os
 import stat
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -273,6 +273,8 @@ def _parse_derive(data: Mapping[str, Any]) -> bool:
 
 _ABSENT = object()
 
+_PRECESSION = {"preset": "precession"}  # an absent Hamiltonian's spec; no parser changes it
+
 
 def _parse_dimension(data: Mapping[str, Any]) -> int:
     dim = _integer("dimension", data.get("dimension", 2))
@@ -281,46 +283,89 @@ def _parse_dimension(data: Mapping[str, Any]) -> int:
     return dim
 
 
-def _parse_fields(data: Mapping[str, Any], dim: int, keys: set[str] | None) -> dict[str, Any]:
-    """The ``Scenario`` fields that the top-level ``keys`` of ``data`` set, in a full parse's order; ``None`` is all.
+def _parse_key(name: str, data: Mapping[str, Any], dim: int) -> dict[str, Any]:
+    """The ``Scenario`` fields that the top-level key ``name`` of ``data`` sets, present or absent.
 
-    ``shots`` and ``protocol`` set the config and shots together.
+    ``name`` is any key but ``dimension``; ``protocol`` and ``shots`` set
+    the config and the shots together.
     """
+    if name == "schedule":
+        return {"schedule": _parse_schedule(data)}
+    if name == "protocol" or name == "shots":
+        config, shots = _parse_protocol(data)
+        return {"config": config, "shots": shots}
+    if name == "initial_state":
+        return {name: _field(name, _parse_state, data.get(name, "ground"), dim)}
+    if name == "hamiltonian":
+        return {name: _field(name, _parse_hamiltonian, data.get(name, _PRECESSION), dim)}
+    if name == "observable":
+        return {name: _field(name, _parse_observable, data.get(name, "sigma_z"), dim)}
+    if name == "checks":
+        return {name: _parse_checks(data)}
+    if name == "seed":
+        return {name: _parse_seed(data)}
+    return {"derive_lower_moments": _parse_derive(data)}
+
+
+# The keys the parsers read from the objects whose keys are fixed: the scenario,
+# its protocol and its clumsiness (a preset Hamiltonian's and a projector
+# observable's are in ``_parser_keys``).  The scenario's are in a full parse's
+# order, where ``shots`` goes with ``protocol``.
+_SCENARIO_KEYS = ("dimension", "initial_state", "hamiltonian", "observable", "schedule", "protocol", "checks",
+                  "shots", "seed", "derive_lower_moments")
+_PROTOCOL_KEYS = ("mode", "dephase_times", "clumsiness", "shots")
+_CLUMSINESS_KEYS = ("kind", "strength", "generator")
+
+# The keys ``_parse_key`` parses one by one, in a full parse's order.
+_FIELD_KEYS = tuple(name for name in _SCENARIO_KEYS if name not in ("dimension", "shots"))
+
+
+def _parse_fields(data: Mapping[str, Any], dim: int, keys: Collection[str] | None) -> dict[str, Any]:
+    """The ``Scenario`` fields that the top-level ``keys`` of ``data`` set, in a full parse's order; ``None`` is all."""
     fields: dict[str, Any] = {}
-    for name, parse, default in (
-        ("initial_state", _parse_state, "ground"),
-        ("hamiltonian", _parse_hamiltonian, {"preset": "precession"}),
-        ("observable", _parse_observable, "sigma_z"),
-    ):
-        if keys is None or name in keys:
-            spec = data.get(name, _ABSENT)
-            fields[name] = _field(name, parse, default if spec is _ABSENT else spec, dim)
-    if keys is None or "schedule" in keys:
-        fields["schedule"] = _parse_schedule(data)
-    if keys is None or "protocol" in keys or "shots" in keys:
-        fields["config"], fields["shots"] = _parse_protocol(data)
-    if keys is None or "checks" in keys:
-        fields["checks"] = _parse_checks(data)
-    if keys is None or "seed" in keys:
-        fields["seed"] = _parse_seed(data)
-    if keys is None or "derive_lower_moments" in keys:
-        fields["derive_lower_moments"] = _parse_derive(data)
+    for name in _FIELD_KEYS:
+        if keys is None or name in keys or (name == "protocol" and "shots" in keys):
+            fields.update(_parse_key(name, data, dim))
     return fields
+
+
+def _changed_fields(data: Mapping[str, Any], template: Scenario, keys: Collection[str]) -> dict[str, Any]:
+    """The fields that the top-level ``keys`` of ``data``, a dict derived from ``template.raw``, set.
+
+    They are parsed at the template's dimension, unless ``dimension`` is
+    among the keys: then it is parsed first, as a full parse does, and at
+    another dimension the state, Hamiltonian and observable are parsed again.
+    """
+    if "dimension" not in keys:
+        return _parse_fields(data, template.dimension, keys)
+    dim = _parse_dimension(data)
+    if dim != template.dimension:
+        keys = {*keys, "initial_state", "hamiltonian", "observable"}
+    return dict(_parse_fields(data, dim, keys), dimension=dim)
+
+
+def _with_fields(template: Scenario, raw: dict, fields: Mapping[str, Any]) -> Scenario:
+    """``template`` with ``raw`` and the parsed ``fields`` over its own, as ``Scenario(...)`` would hold them."""
+    scenario = object.__new__(Scenario)
+    held = scenario.__dict__
+    held.update(template.__dict__)
+    held.update(fields)
+    held["raw"] = raw
+    return scenario
 
 
 def scenario_from_dict(data: Mapping[str, Any], template: Scenario | None = None) -> Scenario:
     """Validate a scenario dict; every error names the offending field.
 
     ``template`` is a scenario parsed earlier from a dict that ``data`` was
-    derived from (a sweep row from its template).  Only the top-level keys
-    whose objects differ from the template's dict, present in one and not
-    the other or not the same object, are parsed: a sweep row parses the
-    one field its path changed.  Every other field is the template's parsed
-    value: state, Hamiltonian and observable at the same dimension (one
-    eigendecomposition per sweep); schedule, config and shots (``protocol``
-    with ``shots``), checks, seed and moment source at any.  These parsed
-    without error, so a row's first error and its message are those of a
-    template-free parse.
+    derived from (an overridden scenario from its file's).  Only the
+    top-level keys whose objects differ from the template's dict, present
+    in one and not the other or not the same object, are parsed.  Every
+    other field is the template's parsed value: state, Hamiltonian and
+    observable at the same dimension; schedule, config and shots
+    (``protocol`` with ``shots``), checks, seed and moment source at any.
+    These parsed without error, so the first error and its message are
+    those of a template-free parse.
     """
     if not isinstance(data, Mapping):
         raise ScenarioError("scenario must be a JSON object")
@@ -331,16 +376,7 @@ def scenario_from_dict(data: Mapping[str, Any], template: Scenario | None = None
     old = template.raw
     keys = {name for name, value in raw.items() if old.get(name, _ABSENT) is not value}
     keys.update(old.keys() - raw.keys())
-    dim = template.dimension
-    if "dimension" in keys:
-        dim = _parse_dimension(raw)
-        if dim != template.dimension:
-            keys.update(("initial_state", "hamiltonian", "observable"))
-    fields = _parse_fields(raw, dim, keys)
-    # the template's fields with the parsed ones over them, as ``Scenario(...)`` would hold them
-    scenario = object.__new__(Scenario)
-    scenario.__dict__.update(template.__dict__, dimension=dim, raw=raw, **fields)
-    return scenario
+    return _with_fields(template, raw, _changed_fields(raw, template, keys))
 
 
 def _read_json(path: str | Path, what: str) -> Any:
@@ -447,6 +483,70 @@ def _row_data(template: Mapping[str, Any], parameter: str, value) -> dict:
     return data
 
 
+def _parser_keys(where: str, node) -> tuple[str, ...] | None:
+    """The keys the parser of the object at path ``where`` reads, or ``None`` where they are not fixed.
+
+    An absent or null protocol or clumsiness counts, since ``_row_data``
+    makes it an object.
+    """
+    if where == "protocol" or where == "protocol.clumsiness":
+        if node is None or isinstance(node, dict):
+            return _PROTOCOL_KEYS if where == "protocol" else _CLUMSINESS_KEYS
+    elif isinstance(node, dict):
+        if where == "hamiltonian" and "preset" in node:
+            return ("preset", "frequency")
+        if where == "observable" and "projectors" in node:
+            return ("projectors", "labels")
+    return None
+
+
+def _swept_object(template: Mapping[str, Any], parameter: str) -> str:
+    """What every row of a ``parameter`` sweep of ``template`` parses again: a top-level key or ``protocol.clumsiness``.
+
+    That is the deepest parsed object the path lands in: ``schedule`` for
+    ``schedule.gap``, ``protocol.clumsiness`` for a key of the clumsiness,
+    ``protocol`` for any other key of the protocol and for the top-level
+    ``shots``, and else the top-level field the path starts with.  On every
+    object along the path whose keys are fixed, the key the path names must
+    be one its parser reads, or ``ScenarioError`` names the parameter, the
+    object and those keys.  The rest of a path into any other field (a list,
+    a matrix, a preset name) is left to ``_row_data`` and the field's parser.
+    """
+    if parameter == "schedule.gap":
+        return "schedule"
+    parts = parameter.split(".")
+    where, keys, node = "the scenario", _SCENARIO_KEYS, template
+    for depth, part in enumerate(parts):
+        if part not in keys:
+            raise ScenarioError(f"{parameter}: {part!r} is not a key of {where}; its parser reads {', '.join(keys)}")
+        where = ".".join(parts[: depth + 1])
+        node = None if node is None else node.get(part)
+        keys = _parser_keys(where, node)
+        if keys is None:
+            break
+    if parts[0] == "shots":
+        return "protocol"
+    if parts[0] == "protocol" and len(parts) > 2 and parts[1] == "clumsiness":
+        return "protocol.clumsiness"
+    return parts[0]
+
+
+def _row_fields(target: str, data: dict, template: Scenario) -> dict[str, Any]:
+    """The fields of a sweep row whose path lands in ``target``, parsed from the row's ``data``.
+
+    Every other field is the template's, which parsed without error, so the
+    row's first error and its message are those of a template-free parse.
+    """
+    if target == "dimension":
+        return _changed_fields(data, template, (target,))
+    if target != "protocol.clumsiness":
+        return _parse_key(target, data, template.dimension)
+    # the config as ``_parse_protocol`` builds it, from the template's mode, dephase times and shots
+    c = template.config
+    clumsiness = _field("protocol.clumsiness", _parse_clumsiness, data["protocol"].get("clumsiness"))
+    return {"config": _field("protocol", ProtocolConfig, c.mode, c.dephase_times, clumsiness, template.shots)}
+
+
 def _sweep_row(rows: _RowSet, row: int, value) -> dict:
     """One sweep row: its margins and verdict from its group's columns."""
     try:
@@ -461,10 +561,20 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate the scenario at every swept value; one row per value, in sweep order.
 
     The template is parsed once: ``spec.scenario`` when ``load_sweep`` has
-    parsed it already.  Each row copies only the dicts along the swept path
-    and parses only the one top-level field that path changed, taking every
-    other parsed field from the template (``scenario_from_dict``), so a
-    sweep shares one eigendecomposition.  The rows are split into groups
+    parsed it already.  The swept path is resolved once, before any row,
+    against the template dict (``_swept_object``): to the deepest parsed
+    object it lands in, which is ``schedule`` (also for ``schedule.gap``),
+    ``protocol.clumsiness`` (its ``kind``, ``strength`` or ``generator``),
+    ``protocol`` (its ``mode``, ``dephase_times`` or ``shots``, and the
+    top-level ``shots``), or else the top-level field itself (``dimension``
+    with the state, Hamiltonian and observable, when it changes).  A path
+    that names a key no parser reads, in the scenario, the protocol, the
+    clumsiness, a preset Hamiltonian or a projector observable, makes every
+    row an error row that names the parameter, the object and the keys its
+    parser reads.  Each row copies only the dicts along the path, runs only
+    that object's parser and takes every other parsed field from the
+    template, so a sweep shares one eigendecomposition; a row's errors read
+    as a template-free parse's.  The rows are split into groups
     before any row runs: rows that differ only in schedule times or
     clumsiness strength and share their checks and moment source form one
     group, which runs all its experiments in one walk; rows of equal times
@@ -492,14 +602,22 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         except ValidationError:
             template = None  # the rows may still be valid; each one reports its own errors
     scenarios: list[Scenario | str] = []
-    for value in spec.values:
-        try:
-            data = _row_data(spec.template, spec.parameter, value)
-            scenarios.append(scenario_from_dict(data, template))
-        except ValidationError as exc:
-            # Only the message: a kept exception's traceback would hold this
-            # frame, and with it every row, until the garbage collector runs.
-            scenarios.append(str(exc))
+    try:
+        target = _swept_object(spec.template, spec.parameter)
+    except ScenarioError as exc:
+        scenarios = [str(exc)] * len(spec.values)
+    else:
+        for value in spec.values:
+            try:
+                data = _row_data(spec.template, spec.parameter, value)
+                if template is None:
+                    scenarios.append(scenario_from_dict(data))
+                else:
+                    scenarios.append(_with_fields(template, data, _row_fields(target, data, template)))
+            except ValidationError as exc:
+                # Only the message: a kept exception's traceback would hold this
+                # frame, and with it every row, until the garbage collector runs.
+                scenarios.append(str(exc))
     rows = _RowSet(scenarios)
     return [_sweep_row(rows, row, value) for row, value in enumerate(spec.values)]
 

@@ -371,20 +371,17 @@ class TestParseOnce:
 
     def test_sweep_parses_template_once(self, tmp_path, monkeypatch):
         calls = []
-        parse = cli.scenario_from_dict
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return parse(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "scenario_from_dict", counted)
+        parsers = ("_parse_state", "_parse_hamiltonian", "_parse_observable", "_parse_protocol")
+        for name in parsers:
+            parse = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, parse=parse, name=name: calls.append(name) or parse(*args))
         values = [np.pi / 6, np.pi / 3, 0.9, -0.4]
         path = write_json(
             tmp_path, "sweep.json",
             {"scenario": lg3_scenario(), "parameter": "schedule.gap", "values": values},
         )
         main(["sweep", path, "--out", str(tmp_path / "sweep.csv")])
-        assert len(calls) == len(values) + 1
+        assert sorted(calls) == sorted(parsers)
 
     def test_invalid_sweep_template_exits_two(self, tmp_path, capsys):
         path = write_json(
@@ -590,6 +587,35 @@ class TestSweptPath:
         rows = run_sweep(SweepSpec(template=lg3_scenario(), parameter=parameter, values=(1, 2)))
         assert [r["verdict"] for r in rows] == ["error", "error"]
         assert [r["error"] for r in rows] == [f"{parameter}: {field} is a {kind}, not a JSON object"] * 2
+
+    @pytest.mark.parametrize(
+        ("parameter", "message"),
+        [
+            ("protocol.clumsiness.strenght",
+             "'strenght' is not a key of protocol.clumsiness; its parser reads kind, strength, generator"),
+            ("protocol.mdoe", "'mdoe' is not a key of protocol; its parser reads mode, dephase_times, clumsiness, shots"),
+            ("dimenson", "'dimenson' is not a key of the scenario; its parser reads dimension, initial_state, "
+                         "hamiltonian, observable, schedule, protocol, checks, shots, seed, derive_lower_moments"),
+            ("hamiltonian.frequncy", "'frequncy' is not a key of hamiltonian; its parser reads preset, frequency"),
+            ("observable.label", "'label' is not a key of observable; its parser reads projectors, labels"),
+        ],
+    )
+    def test_a_key_no_parser_reads_makes_every_row_an_error_row(self, parameter, message):
+        template = lg3_scenario(protocol={"mode": "projective_dephased", "clumsiness": {"kind": "depolarizing",
+                                                                                      "strength": 0.1}})
+        if parameter.startswith("observable."):
+            template["observable"] = {"projectors": [matrix_to_json(np.diag([1.0, 0.0])),
+                                                     matrix_to_json(np.diag([0.0, 1.0]))]}
+        rows = run_sweep(SweepSpec(template=template, parameter=parameter, values=(0.0, 0.3, "x")))
+        assert [(r["verdict"], r["margins"], r["error"]) for r in rows] == [("error", {}, f"{parameter}: {message}")] * 3
+
+    @pytest.mark.parametrize("protocol", [{"mode": "projective"}, None, "absent"])
+    def test_a_key_of_a_new_protocol_or_clumsiness_object_is_checked_too(self, protocol):
+        template = lg3_scenario(protocol=protocol)
+        if protocol == "absent":
+            del template["protocol"]
+        (row,) = run_sweep(SweepSpec(template=template, parameter="protocol.clumsiness.strenght", values=(0.1,)))
+        assert row["error"].startswith("protocol.clumsiness.strenght: 'strenght' is not a key of protocol.clumsiness;")
 
     @pytest.mark.parametrize("protocol", ["absent", None])
     def test_absent_or_null_field_becomes_an_object(self, protocol):

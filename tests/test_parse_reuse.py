@@ -19,7 +19,10 @@ import pytest
 
 from lgcert import cli
 from lgcert.cli import SweepSpec, _row_data, load_sweep, main, run_sweep, scenario_from_dict
+from lgcert.protocols import ProtocolConfig
 from lgcert.qcore import ValidationError
+
+from test_sweep_batch import SWEEPS
 
 # Integral floats where an integer is read, so a fresh parse makes a new int
 # object and ``is`` tells a reused value from a parsed one.
@@ -131,16 +134,93 @@ def test_an_invalid_swept_value_reports_what_a_template_free_parse_reports(name)
         assert row["error"] == template_free_error(_row_data(TEMPLATE, name, value)), value
 
 
-@pytest.mark.parametrize("parameter, value", [
-    ("protocol.clumsiness.strength", -0.5),
-    ("protocol.mode", "bogus"),
-    ("protocol.dephase_times", [0]),
-    ("schedule.gap", -1.0),
-    ("hamiltonian.frequency", "x"),
+HERMITIAN = [[[0.0, 0.0], [1.0, 0.5]], [[1.0, -0.5], [0.0, 0.0]]]
+NON_HERMITIAN = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+# A unitary kick reads its generator; without a top-level ``shots`` the protocol's are read.
+KICK_TEMPLATE = dict(TEMPLATE, protocol=dict(TEMPLATE["protocol"], clumsiness={
+    "kind": "unitary_kick", "strength": 0.2, "generator": HERMITIAN}))
+PROTOCOL_SHOTS_TEMPLATE = {key: value for key, value in TEMPLATE.items() if key != "shots"}
+
+
+@pytest.mark.parametrize("parameter, value, template", [
+    ("protocol.clumsiness.strength", -0.5, TEMPLATE),
+    ("protocol.clumsiness.kind", "bogus", TEMPLATE),
+    ("protocol.clumsiness.generator", NON_HERMITIAN, KICK_TEMPLATE),
+    ("protocol.shots", -1, PROTOCOL_SHOTS_TEMPLATE),
+    ("protocol.mode", "bogus", TEMPLATE),
+    ("protocol.dephase_times", [0], TEMPLATE),
+    ("schedule.gap", -1.0, TEMPLATE),
+    ("hamiltonian.frequency", "x", TEMPLATE),
 ])
-def test_an_invalid_nested_value_reports_what_a_template_free_parse_reports(parameter, value):
-    row = run_sweep(SweepSpec(TEMPLATE, parameter, (value,)))[0]
-    assert row["error"] == template_free_error(_row_data(TEMPLATE, parameter, value))
+def test_an_invalid_nested_value_reports_what_a_template_free_parse_reports(parameter, value, template):
+    row = run_sweep(SweepSpec(template, parameter, (value,)))[0]
+    assert row["error"] == template_free_error(_row_data(template, parameter, value))
+
+
+# Sweeps whose paths land in nested objects, each with valid and invalid values.
+# A clumsiness row rebuilds its config from the template's dephase times and
+# shots, here also given out of order and inside the protocol.
+DEPHASED_TEMPLATE = dict(PROTOCOL_SHOTS_TEMPLATE, protocol=dict(TEMPLATE["protocol"], dephase_times=[2.0, 1],
+                                                                shots=300.0))
+NESTED = {
+    "clumsiness-strength": (TEMPLATE, "protocol.clumsiness.strength", [0.2, -0.5, 0.0, 0.2]),
+    "clumsiness-strength-dephased": (DEPHASED_TEMPLATE, "protocol.clumsiness.strength", [0.2, 1.5, 0.0]),
+    "clumsiness-kind": (DEPHASED_TEMPLATE, "protocol.clumsiness.kind", ["none", "bogus", "depolarizing"]),
+    "clumsiness-generator": (KICK_TEMPLATE, "protocol.clumsiness.generator", [HERMITIAN, NON_HERMITIAN, [[[1.0, 0.0]]]]),
+    "protocol-shots": (PROTOCOL_SHOTS_TEMPLATE, "protocol.shots", [0, -1, 200.0]),
+    "protocol-mode": (TEMPLATE, "protocol.mode", ["inrm", "bogus", "projective_dephased"]),
+    "protocol-dephase-times": (TEMPLATE, "protocol.dephase_times", [[1], [0], None]),
+    "schedule-gap": (TEMPLATE, "schedule.gap", [0.4, -1.0, 0.9]),
+    "hamiltonian-frequency": (TEMPLATE, "hamiltonian.frequency", [2.0, "x"]),
+}
+
+PARITY = {**{f"batch-{name}": sweep for name, sweep in SWEEPS.items()},
+          **{f"nested-{name}": sweep for name, sweep in NESTED.items()}}
+
+
+def reached(parameter: str, row, template) -> set[str]:
+    """The parsed fields a row of a ``parameter`` sweep may hold as new objects."""
+    top = parameter.split(".")[0]
+    if parameter == "schedule.gap":
+        return {"schedule"}
+    if parameter.startswith("protocol.clumsiness."):
+        return {"config"}
+    if top in ("protocol", "shots"):
+        return {"config", "shots"}
+    if top == "dimension":
+        return set() if row.dimension == template.dimension else {"initial_state", "hamiltonian", "observable"}
+    return {top}
+
+
+def comparable(value):
+    """``value``, or a config as a tuple, since a kick generator's arrays do not compare with ``==``."""
+    if isinstance(value, ProtocolConfig):
+        c = value.clumsiness
+        generator = None if c.generator is None else c.generator.tobytes()
+        return value.mode, value.dephase_times, value.shots, c.kind, c.strength, generator
+    return value
+
+
+@pytest.mark.parametrize("name", PARITY)
+def test_every_row_parses_as_a_template_free_parse_and_shares_the_rest(name, monkeypatch):
+    template_data, parameter, values = PARITY[name]
+    try:
+        template = scenario_from_dict(template_data)
+    except ValidationError:
+        template = None  # rows are parsed without a template
+    monkeypatch.setattr(cli, "_sweep_row", lambda rows, row, value: rows)
+    rows = run_sweep(SweepSpec(template_data, parameter, tuple(values), scenario=template))[0]
+    compared = ("dimension", "schedule", "config", "shots", "checks", "seed", "derive_lower_moments", "raw")
+    for value, row in zip(values, rows.scenarios):
+        data = _row_data(template_data, parameter, value)
+        if isinstance(row, str):
+            assert row == template_free_error(data), value
+            continue
+        fresh = scenario_from_dict(data)
+        assert [comparable(getattr(row, a)) for a in compared] == [comparable(getattr(fresh, a)) for a in compared]
+        if template is not None:
+            kept = set(ATTRIBUTES) - reached(parameter, row, template)
+            assert {a for a in kept if getattr(row, a) is not getattr(template, a)} == set(), value
 
 
 def sweep_file(tmp_path, scenario) -> str:
