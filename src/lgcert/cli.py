@@ -154,6 +154,9 @@ def _parse_state(spec, dim: int) -> DensityOperator:
     return DensityOperator(mat)
 
 
+_PRESET_KEYS = ("preset", "frequency")  # the keys a preset Hamiltonian's parser reads
+
+
 def _parse_hamiltonian(spec, dim: int) -> Hamiltonian:
     if isinstance(spec, Mapping) and "preset" in spec:
         if spec["preset"] != "precession":
@@ -167,6 +170,9 @@ def _parse_hamiltonian(spec, dim: int) -> Hamiltonian:
             f"hamiltonian: matrix dimension {mat.shape[0]} does not match dimension {dim}"
         )
     return Hamiltonian(mat)
+
+
+_PROJECTOR_KEYS = ("projectors", "labels")  # the keys a projector observable's parser reads
 
 
 def _parse_observable(spec, dim: int) -> Observable:
@@ -190,6 +196,9 @@ def _parse_observable(spec, dim: int) -> Observable:
     if obs.dim != dim:
         raise ScenarioError(f"observable: dimension {obs.dim} does not match dimension {dim}")
     return obs
+
+
+_CLUMSINESS_KEYS = ("kind", "strength", "generator")  # the keys ``_parse_clumsiness`` reads
 
 
 def _parse_clumsiness(spec) -> ClumsinessModel:
@@ -221,6 +230,9 @@ def _parse_schedule(data: Mapping[str, Any]) -> Schedule:
     return _field("schedule", _schedule, data["schedule"])
 
 
+_PROTOCOL_KEYS = ("mode", "dephase_times", "clumsiness", "shots")  # the keys ``_parse_protocol`` reads
+
+
 def _parse_protocol(data: Mapping[str, Any]) -> tuple[ProtocolConfig, int]:
     """The protocol config and the shots, which a top-level ``shots`` sets over ``protocol.shots``."""
     proto = data.get("protocol")
@@ -233,15 +245,19 @@ def _parse_protocol(data: Mapping[str, Any]) -> tuple[ProtocolConfig, int]:
     else:
         shots = _integer("protocol.shots", proto.get("shots", 0))
     dephase = proto.get("dephase_times")
-    config = _field(
-        "protocol",
-        ProtocolConfig,
+    config = _protocol_config(
         proto.get("mode", "projective"),
         None if dephase is None else _integers("protocol.dephase_times", dephase) or None,
-        _field("protocol.clumsiness", _parse_clumsiness, proto.get("clumsiness")),
+        proto.get("clumsiness"),
         shots,
     )
     return config, shots
+
+
+def _protocol_config(mode, dephase_times, clumsiness, shots: int) -> ProtocolConfig:
+    """The config of the parsed ``dephase_times`` and ``shots`` with ``mode`` and the ``clumsiness`` spec."""
+    return _field("protocol", ProtocolConfig, mode, dephase_times,
+                  _field("protocol.clumsiness", _parse_clumsiness, clumsiness), shots)
 
 
 def _parse_checks(data: Mapping[str, Any]) -> tuple[str, ...]:
@@ -273,8 +289,6 @@ def _parse_derive(data: Mapping[str, Any]) -> bool:
 
 _ABSENT = object()
 
-_PRECESSION = {"preset": "precession"}  # an absent Hamiltonian's spec; no parser changes it
-
 
 def _parse_dimension(data: Mapping[str, Any]) -> int:
     dim = _integer("dimension", data.get("dimension", 2))
@@ -283,49 +297,35 @@ def _parse_dimension(data: Mapping[str, Any]) -> int:
     return dim
 
 
-def _parse_key(name: str, data: Mapping[str, Any], dim: int) -> dict[str, Any]:
-    """The ``Scenario`` fields that the top-level key ``name`` of ``data`` sets, present or absent.
-
-    ``name`` is any key but ``dimension``; ``protocol`` and ``shots`` set
-    the config and the shots together.
-    """
-    if name == "schedule":
-        return {"schedule": _parse_schedule(data)}
-    if name == "protocol" or name == "shots":
-        config, shots = _parse_protocol(data)
-        return {"config": config, "shots": shots}
-    if name == "initial_state":
-        return {name: _field(name, _parse_state, data.get(name, "ground"), dim)}
-    if name == "hamiltonian":
-        return {name: _field(name, _parse_hamiltonian, data.get(name, _PRECESSION), dim)}
-    if name == "observable":
-        return {name: _field(name, _parse_observable, data.get(name, "sigma_z"), dim)}
-    if name == "checks":
-        return {name: _parse_checks(data)}
-    if name == "seed":
-        return {name: _parse_seed(data)}
-    return {"derive_lower_moments": _parse_derive(data)}
-
-
-# The keys the parsers read from the objects whose keys are fixed: the scenario,
-# its protocol and its clumsiness (a preset Hamiltonian's and a projector
-# observable's are in ``_parser_keys``).  The scenario's are in a full parse's
-# order, where ``shots`` goes with ``protocol``.
+# The top-level keys a full parse reads, in its order, where ``shots`` goes with ``protocol``.
 _SCENARIO_KEYS = ("dimension", "initial_state", "hamiltonian", "observable", "schedule", "protocol", "checks",
                   "shots", "seed", "derive_lower_moments")
-_PROTOCOL_KEYS = ("mode", "dephase_times", "clumsiness", "shots")
-_CLUMSINESS_KEYS = ("kind", "strength", "generator")
-
-# The keys ``_parse_key`` parses one by one, in a full parse's order.
-_FIELD_KEYS = tuple(name for name in _SCENARIO_KEYS if name not in ("dimension", "shots"))
 
 
 def _parse_fields(data: Mapping[str, Any], dim: int, keys: Collection[str] | None) -> dict[str, Any]:
-    """The ``Scenario`` fields that the top-level ``keys`` of ``data`` set, in a full parse's order; ``None`` is all."""
+    """The ``Scenario`` fields that the top-level ``keys`` of ``data`` set, in a full parse's order; ``None`` is all.
+
+    ``shots`` and ``protocol`` set the config and shots together.
+    """
     fields: dict[str, Any] = {}
-    for name in _FIELD_KEYS:
-        if keys is None or name in keys or (name == "protocol" and "shots" in keys):
-            fields.update(_parse_key(name, data, dim))
+    for name, parse, default in (
+        ("initial_state", _parse_state, "ground"),
+        ("hamiltonian", _parse_hamiltonian, {"preset": "precession"}),
+        ("observable", _parse_observable, "sigma_z"),
+    ):
+        if keys is None or name in keys:
+            spec = data.get(name, _ABSENT)
+            fields[name] = _field(name, parse, default if spec is _ABSENT else spec, dim)
+    if keys is None or "schedule" in keys:
+        fields["schedule"] = _parse_schedule(data)
+    if keys is None or "protocol" in keys or "shots" in keys:
+        fields["config"], fields["shots"] = _parse_protocol(data)
+    if keys is None or "checks" in keys:
+        fields["checks"] = _parse_checks(data)
+    if keys is None or "seed" in keys:
+        fields["seed"] = _parse_seed(data)
+    if keys is None or "derive_lower_moments" in keys:
+        fields["derive_lower_moments"] = _parse_derive(data)
     return fields
 
 
@@ -358,14 +358,13 @@ def scenario_from_dict(data: Mapping[str, Any], template: Scenario | None = None
     """Validate a scenario dict; every error names the offending field.
 
     ``template`` is a scenario parsed earlier from a dict that ``data`` was
-    derived from (an overridden scenario from its file's).  Only the
-    top-level keys whose objects differ from the template's dict, present
-    in one and not the other or not the same object, are parsed.  Every
-    other field is the template's parsed value: state, Hamiltonian and
-    observable at the same dimension; schedule, config and shots
-    (``protocol`` with ``shots``), checks, seed and moment source at any.
-    These parsed without error, so the first error and its message are
-    those of a template-free parse.
+    derived from.  Only the top-level keys whose objects differ from the
+    template's dict, present in one and not the other or not the same
+    object, are parsed.  Every other field is the template's parsed value:
+    state, Hamiltonian and observable at the same dimension; schedule,
+    config and shots (``protocol`` with ``shots``), checks, seed and moment
+    source at any.  These parsed without error, so the first error and its
+    message are those of a template-free parse.
     """
     if not isinstance(data, Mapping):
         raise ScenarioError("scenario must be a JSON object")
@@ -494,9 +493,9 @@ def _parser_keys(where: str, node) -> tuple[str, ...] | None:
             return _PROTOCOL_KEYS if where == "protocol" else _CLUMSINESS_KEYS
     elif isinstance(node, dict):
         if where == "hamiltonian" and "preset" in node:
-            return ("preset", "frequency")
+            return _PRESET_KEYS
         if where == "observable" and "projectors" in node:
-            return ("projectors", "labels")
+            return _PROJECTOR_KEYS
     return None
 
 
@@ -505,8 +504,10 @@ def _swept_object(template: Mapping[str, Any], parameter: str) -> str:
 
     That is the deepest parsed object the path lands in: ``schedule`` for
     ``schedule.gap``, ``protocol.clumsiness`` for a key of the clumsiness,
-    ``protocol`` for any other key of the protocol and for the top-level
-    ``shots``, and else the top-level field the path starts with.  On every
+    and else the top-level key the path starts with, whose fields
+    ``_changed_fields`` parses (``protocol`` and ``shots`` both parse the
+    protocol; ``dimension`` parses state, Hamiltonian and observable too
+    when it changes).  On every
     object along the path whose keys are fixed, the key the path names must
     be one its parser reads, or ``ScenarioError`` names the parameter, the
     object and those keys.  The rest of a path into any other field (a list,
@@ -524,8 +525,6 @@ def _swept_object(template: Mapping[str, Any], parameter: str) -> str:
         keys = _parser_keys(where, node)
         if keys is None:
             break
-    if parts[0] == "shots":
-        return "protocol"
     if parts[0] == "protocol" and len(parts) > 2 and parts[1] == "clumsiness":
         return "protocol.clumsiness"
     return parts[0]
@@ -537,14 +536,10 @@ def _row_fields(target: str, data: dict, template: Scenario) -> dict[str, Any]:
     Every other field is the template's, which parsed without error, so the
     row's first error and its message are those of a template-free parse.
     """
-    if target == "dimension":
-        return _changed_fields(data, template, (target,))
     if target != "protocol.clumsiness":
-        return _parse_key(target, data, template.dimension)
-    # the config as ``_parse_protocol`` builds it, from the template's mode, dephase times and shots
-    c = template.config
-    clumsiness = _field("protocol.clumsiness", _parse_clumsiness, data["protocol"].get("clumsiness"))
-    return {"config": _field("protocol", ProtocolConfig, c.mode, c.dephase_times, clumsiness, template.shots)}
+        return _changed_fields(data, template, (target,))
+    c = template.config  # the rest of the config, as ``_parse_protocol`` read it from the template
+    return {"config": _protocol_config(c.mode, c.dephase_times, data["protocol"].get("clumsiness"), template.shots)}
 
 
 def _sweep_row(rows: _RowSet, row: int, value) -> dict:
@@ -776,14 +771,12 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    if args.shots is None and args.seed is None:
+    """``scenario`` with the ``--shots`` and ``--seed`` given over its file's; only the fields they set are parsed."""
+    overrides = {name: value for name in ("shots", "seed") if (value := getattr(args, name)) is not None}
+    if not overrides:
         return scenario
-    data = dict(scenario.raw)
-    if args.shots is not None:
-        data["shots"] = args.shots
-    if args.seed is not None:
-        data["seed"] = args.seed
-    return scenario_from_dict(data, template=scenario)
+    data = {**scenario.raw, **overrides}
+    return _with_fields(scenario, data, _changed_fields(data, scenario, overrides))
 
 
 @functools.cache

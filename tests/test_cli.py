@@ -609,6 +609,43 @@ class TestSweptPath:
         rows = run_sweep(SweepSpec(template=template, parameter=parameter, values=(0.0, 0.3, "x")))
         assert [(r["verdict"], r["margins"], r["error"]) for r in rows] == [("error", {}, f"{parameter}: {message}")] * 3
 
+    def test_the_listed_keys_are_the_keys_the_parsers_read(self):
+        class Reads(dict):
+            """A dict that records every key read from it."""
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.read = set()
+
+            def get(self, key, default=None):
+                self.read.add(key)
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                self.read.add(key)
+                return super().__getitem__(key)
+
+            def __contains__(self, key):
+                self.read.add(key)
+                return super().__contains__(key)
+
+        # every object whose keys are listed, in the form whose parser reads all of them
+        generator = matrix_to_json(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        clumsiness = Reads(kind="unitary_kick", strength=0.1, generator=generator)
+        protocol = Reads(mode="projective_dephased", dephase_times=[1], clumsiness=clumsiness, shots=10)
+        hamiltonian = Reads(preset="precession", frequency=1.0)
+        observable = Reads(projectors=[matrix_to_json(np.diag([1.0, 0.0])), matrix_to_json(np.diag([0.0, 1.0]))],
+                           labels=[1, -1])
+        data = lg3_scenario(hamiltonian=hamiltonian, observable=observable, protocol=protocol)
+        del data["shots"]  # so that the protocol's are read
+        scenario = Reads(data)
+        cli._parse_fields(scenario, cli._parse_dimension(scenario), None)
+        assert scenario.read == set(cli._SCENARIO_KEYS)
+        assert protocol.read == set(cli._PROTOCOL_KEYS)
+        assert clumsiness.read == set(cli._CLUMSINESS_KEYS)
+        assert hamiltonian.read == set(cli._PRESET_KEYS)
+        assert observable.read == set(cli._PROJECTOR_KEYS)
+
     @pytest.mark.parametrize("protocol", [{"mode": "projective"}, None, "absent"])
     def test_a_key_of_a_new_protocol_or_clumsiness_object_is_checked_too(self, protocol):
         template = lg3_scenario(protocol=protocol)
